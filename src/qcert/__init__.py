@@ -45,6 +45,7 @@ from .measures import (
     measure_all,
     mixedness,
     mutual_information,
+    purity_table,
     subset_purities,
 )
 from .monogamy import (
@@ -120,6 +121,7 @@ __all__ = [
     "product_state",
     "purify",
     "purity",
+    "purity_table",
     "purity_via_observables",
     "random_mixed",
     "random_pure",

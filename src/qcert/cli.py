@@ -30,7 +30,7 @@ from .compatibility import (
     theorem2_check,
 )
 from .config import TOL_INPUT, TOL_ROUTE, TOL_VERDICT
-from .hilbert import Operator, PureState, SpaceShape, SubsetMask, validate_density
+from .hilbert import Operator, PureState, SpaceShape, SubsetMask, purity, validate_density
 from .measures import (
     entanglement_E_partitions,
     entanglement_E_projector,
@@ -169,6 +169,8 @@ def _parse_matrix(obj, side: int, where: str) -> np.ndarray:
             raise ValueError(f"{where}: expected a {side}x{side} matrix")
         for j, cell in enumerate(row):
             out[i, j] = _parse_complex(cell, where)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{where}: matrix holds a non-finite number")
     return out
 
 
@@ -198,6 +200,8 @@ def parse_state_dict(data) -> PureState | Operator:
                 f"state file: 'vector' must hold {shape.total_dim} [re, im] pairs"
             )
         amp = np.array([_parse_complex(z, "state file") for z in vec])
+        if not np.isfinite(amp).all():
+            raise ValueError("state file: 'vector' holds a non-finite number")
         return PureState(shape, amp)
     if kind == "mixed":
         mat = _parse_matrix(data.get("matrix"), shape.total_dim, "state file")
@@ -269,7 +273,16 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         if isinstance(purity_raw, bool) or not isinstance(purity_raw, (int, float)):
             raise ValueError("marginal file: 'global_purity' must be a number")
         global_purity = float(purity_raw)
-    return MarginalSet(shape, entries), global_purity
+    marginals = MarginalSet(shape, entries)
+    full = marginals.entries.get(shape.full_mask())
+    if full is not None and global_purity is not None:
+        p_full = purity(full)
+        if abs(global_purity - p_full) > TOL_INPUT:
+            raise ValueError(
+                f"marginal file: 'global_purity' {global_purity} differs from the "
+                f"full-set marginal's purity {p_full}"
+            )
+    return marginals, global_purity
 
 
 def load_marginal_file(path: str) -> tuple[MarginalSet, float | None]:
@@ -419,12 +432,11 @@ def cmd_monogamy(args) -> int:
 
 def cmd_disorder(args) -> int:
     state = load_state_file(args.state)
-    rho = state.density() if isinstance(state, PureState) else state
-    rep = disorder_check(rho)
+    rep = disorder_check(state)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "disorder_report",
-        "dims": list(rho.shape.dims),
+        "dims": list(state.shape.dims),
         "lhs": rep.lhs,
         "rhs": rep.rhs,
         "slack": rep.slack,
@@ -547,8 +559,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(dumps(error_dict(str(exc))))
+    except (ValueError, OSError, RecursionError, MemoryError) as exc:
+        print(dumps(error_dict(str(exc) or type(exc).__name__)))
         return EXIT_INPUT_ERROR
 
 

@@ -6,9 +6,10 @@ as compatible. A violation, in contrast, is a proof of incompatibility.
 
 The tested inequality bounds the alternating purity sum
 sum_{|A| odd} Tr rho_A^2 - sum_{|A| even} Tr rho_A^2 over nonempty subsets A
-by 1, where the full-set term is Tr rho^2 of the global state: fixed at 1
-when a pure global state is claimed, supplied by the caller for mixed global
-states, and defaulted to the compatibility-friendliest value 1 when unknown.
+by 1, where the full-set term is Tr rho^2 of the global state: read from a
+full-set marginal when one is provided, otherwise fixed at 1 when a pure
+global state is claimed, supplied by the caller for mixed global states, and
+defaulted to the compatibility-friendliest value 1 when unknown.
 """
 
 from __future__ import annotations
@@ -104,16 +105,30 @@ class CompatReport:
 def _certificate(
     marginals: MarginalSet,
     theorem: str,
-    global_purity: float,
-    recorded_purity: float | str,
+    claimed_purity: float | None,
 ) -> CompatReport:
+    """Bound the alternating purity sum of ``marginals``.
+
+    The full-set term is the purity of a provided full-set marginal, which
+    ``claimed_purity`` must then match within TOL_INPUT; otherwise it is
+    ``claimed_purity``, or the best case 1 when that is None.
+    """
     n = marginals.shape.n_parties
     needed = required_subsets(n)
-    purities = {
-        mask: purity(op)
-        for mask, op in marginals.entries.items()
-        if not mask.is_full
-    }
+    purities = {mask: purity(op) for mask, op in marginals.entries.items()}
+    full = marginals.shape.full_mask()
+    if full in purities:
+        global_purity = purities[full]
+        if claimed_purity is not None and abs(claimed_purity - global_purity) > TOL_INPUT:
+            raise ValueError(
+                f"claimed global purity {claimed_purity} differs from the full-set "
+                f"marginal's purity {global_purity}"
+            )
+        recorded_purity: float | str = global_purity
+    elif claimed_purity is None:
+        global_purity, recorded_purity = 1.0, BEST_CASE
+    else:
+        global_purity = recorded_purity = claimed_purity
     missing = tuple(m for m in needed if m not in purities)
     if missing:
         return CompatReport(
@@ -150,8 +165,11 @@ def _certificate(
 
 
 def theorem1_check(marginals: MarginalSet) -> CompatReport:
-    """Certificate against a common global *pure* state (full-set purity fixed at 1)."""
-    return _certificate(marginals, "theorem1", 1.0, 1.0)
+    """Certificate against a common global *pure* state (full-set purity fixed at 1).
+
+    A provided full-set marginal must then be pure within TOL_INPUT.
+    """
+    return _certificate(marginals, "theorem1", 1.0)
 
 
 def theorem2_check(
@@ -159,19 +177,21 @@ def theorem2_check(
 ) -> CompatReport:
     """Certificate against a common global state of an even party count.
 
-    When ``global_purity`` is omitted, the compatibility-friendliest value 1
-    is assumed and recorded as "best-case"; the verdict can then only be
-    looser, never stricter.
+    A provided full-set marginal fixes the global purity. Otherwise, when
+    ``global_purity`` is omitted, the compatibility-friendliest value 1 is
+    assumed and recorded as "best-case"; the verdict can then only be
+    looser, never stricter. A supplied value must lie in [1/D, 1].
     """
     n = marginals.shape.n_parties
     if n % 2 == 1:
         raise ValueError("this certificate requires an even party count")
     if global_purity is None:
-        return _certificate(marginals, "theorem2", 1.0, BEST_CASE)
+        return _certificate(marginals, "theorem2", None)
     g = float(global_purity)
-    if not 0.0 < g <= 1.0 + TOL_INPUT:
-        raise ValueError(f"global purity must lie in (0, 1], got {g}")
-    return _certificate(marginals, "theorem2", g, g)
+    lowest = 1.0 / marginals.shape.total_dim
+    if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
+        raise ValueError(f"global purity must lie in [1/D, 1] = [{lowest}, 1], got {g}")
+    return _certificate(marginals, "theorem2", g)
 
 
 @dataclass(frozen=True)

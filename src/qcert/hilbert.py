@@ -142,6 +142,8 @@ class PureState:
             raise ValueError(
                 f"expected {self.shape.total_dim} amplitudes, got {a.size}"
             )
+        if not np.isfinite(a).all():
+            raise ValueError("state amplitudes must be finite numbers")
         nrm2 = float(np.vdot(a, a).real)
         if abs(nrm2 - 1.0) > TOL_INPUT:
             raise ValueError(f"state squared norm {nrm2} deviates from 1 beyond {TOL_INPUT}")

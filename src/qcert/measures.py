@@ -115,30 +115,43 @@ def marginal_purity(psi: PureState, subset: SubsetMask) -> float:
     return float(np.einsum("ab,ba->", g, g).real)
 
 
+def purity_table(state: PureState | Operator) -> list[float]:
+    """Tr rho_A^2 of every subset A of the parties, indexed by mask bits.
+
+    Entry 0 is the squared trace of the whole state and the last entry its
+    global purity. Pure states go through ``marginal_purity``, operators
+    through ``partial_trace``; every subset quantity of the package reads
+    this one table.
+    """
+    n = state.shape.n_parties
+    if isinstance(state, PureState):
+        return [marginal_purity(state, SubsetMask(bits, n)) for bits in range(1 << n)]
+    return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in range(1 << n)]
+
+
+def _proper_purities(table: list[float]) -> dict[SubsetMask, float]:
+    n = len(table).bit_length() - 1
+    return {SubsetMask(bits, n): table[bits] for bits in range(1, len(table) - 1)}
+
+
 def subset_purities(psi: PureState) -> dict[SubsetMask, float]:
     """Marginal purities of every nonempty proper subset, in ascending mask order."""
-    n = psi.shape.n_parties
-    full = (1 << n) - 1
-    return {
-        SubsetMask(bits, n): marginal_purity(psi, SubsetMask(bits, n))
-        for bits in range(1, full)
-    }
+    return _proper_purities(purity_table(psi))
+
+
+def _e_partitions(table: list[float]) -> float:
+    s_global = 1.0 - table[-1]
+    total = 0.0
+    for part in enumerate_partitions(len(table).bit_length() - 1):
+        s = (1.0 - table[part.a.bits]) + (1.0 - table[part.b.bits]) - s_global
+        total += s if part.partition_class == "P_I" else -s
+    return total
 
 
 def entanglement_E_partitions(psi: PureState) -> float:
     """E as the signed sum of bipartite mutual informations over partition classes."""
-    n = psi.shape.n_parties
-    _require_even(n)
-    s_global = 1.0 - marginal_purity(psi, psi.shape.full_mask())
-    total = 0.0
-    for part in enumerate_partitions(n):
-        s = (
-            (1.0 - marginal_purity(psi, part.a))
-            + (1.0 - marginal_purity(psi, part.b))
-            - s_global
-        )
-        total += s if part.partition_class == "P_I" else -s
-    return total
+    _require_even(psi.shape.n_parties)
+    return _e_partitions(purity_table(psi))
 
 
 def entanglement_E_projector(psi: PureState) -> float:
@@ -150,16 +163,20 @@ def entanglement_E_projector(psi: PureState) -> float:
     return float(2**n) * expectation_pure(psi, SignPattern.all_minus(n))
 
 
+def _e_subset_sum(table: list[float]) -> float:
+    odd = even = 0.0
+    for bits in range(1, len(table) - 1):
+        if bits.bit_count() % 2 == 1:
+            odd += table[bits]
+        else:
+            even += table[bits]
+    return 2.0 - odd + even
+
+
 def entanglement_E_subset_sum(psi: PureState) -> float:
     """E as 2 - sum of odd-subset purities + sum of proper even-subset purities."""
     _require_even(psi.shape.n_parties)
-    odd = even = 0.0
-    for mask, p in subset_purities(psi).items():
-        if mask.is_odd:
-            odd += p
-        else:
-            even += p
-    return 2.0 - odd + even
+    return _e_subset_sum(purity_table(psi))
 
 
 def i_concurrence_sq(psi: PureState, subset: SubsetMask) -> float:
@@ -202,11 +219,12 @@ class MeasureReport:
 def measure_all(psi: PureState) -> MeasureReport:
     """Evaluate every applicable route; partition forms are omitted for odd N."""
     n = psi.shape.n_parties
-    purities = subset_purities(psi)
+    table = purity_table(psi)
+    purities = _proper_purities(table)
     projector = entanglement_E_projector(psi)
     if n % 2 == 0:
-        partitions = entanglement_E_partitions(psi)
-        subset_sum = entanglement_E_subset_sum(psi)
+        partitions = _e_partitions(table)
+        subset_sum = _e_subset_sum(table)
     else:
         partitions = None
         subset_sum = None

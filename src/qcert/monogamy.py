@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import TOL_VERDICT
-from .hilbert import Operator, PureState, SubsetMask, _check_mask, partial_trace, purity
-from .measures import i_concurrence_sq
+from .hilbert import Operator, PureState, SubsetMask, _check_mask
+from .measures import purity_table
 
 
 def _submasks(bits: int) -> list[int]:
@@ -40,6 +40,18 @@ class MonogamyReport:
         return self.lhs - self.rhs
 
 
+def _corollary1(table: list[float], index_set: SubsetMask) -> MonogamyReport:
+    full = len(table) - 1
+    lhs = rhs = 0.0
+    for bits in _submasks(index_set.bits):
+        c2 = 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits])
+        if bits.bit_count() % 2 == 1:
+            lhs += c2
+        else:
+            rhs += c2
+    return MonogamyReport(index_set, lhs, rhs, lhs >= rhs - TOL_VERDICT)
+
+
 def corollary1_check(psi: PureState, index_set: SubsetMask) -> MonogamyReport:
     """Check sum of odd-|A| concurrences >= sum of even-|A| concurrences.
 
@@ -50,23 +62,15 @@ def corollary1_check(psi: PureState, index_set: SubsetMask) -> MonogamyReport:
     _check_mask(psi.shape, index_set)
     if index_set.cardinality < 2 or index_set.is_odd:
         raise ValueError("index set must have even cardinality >= 2")
-    n = psi.shape.n_parties
-    lhs = rhs = 0.0
-    for bits in _submasks(index_set.bits):
-        sub = SubsetMask(bits, n)
-        c2 = i_concurrence_sq(psi, sub)
-        if sub.is_odd:
-            lhs += c2
-        else:
-            rhs += c2
-    return MonogamyReport(index_set, lhs, rhs, lhs >= rhs - TOL_VERDICT)
+    return _corollary1(purity_table(psi), index_set)
 
 
 def corollary1_scan(psi: PureState) -> list[MonogamyReport]:
     """One report per even-cardinality index set with at least two parties."""
     n = psi.shape.n_parties
+    table = purity_table(psi)
     return [
-        corollary1_check(psi, SubsetMask(bits, n))
+        _corollary1(table, SubsetMask(bits, n))
         for bits in range(1, 1 << n)
         if bits.bit_count() >= 2 and bits.bit_count() % 2 == 0
     ]
@@ -85,20 +89,20 @@ class DisorderReport:
         return self.rhs - self.lhs
 
 
-def disorder_check(rho: Operator) -> DisorderReport:
+def disorder_check(rho: PureState | Operator) -> DisorderReport:
     """Check that global-plus-even-subset disorder is bounded by odd-subset disorder.
 
     lhs sums D(rho_A) = 1 - Tr rho_A^2 over nonempty even subsets including
-    the full set; rhs sums it over odd subsets.
+    the full set; rhs sums it over odd subsets. A pure state is read through
+    its marginals without forming the global density.
     """
-    n = rho.shape.n_parties
-    if n % 2 == 1:
+    if rho.shape.n_parties % 2 == 1:
         raise ValueError("disorder relation requires an even party count")
+    table = purity_table(rho)
     lhs = rhs = 0.0
-    for bits in range(1, 1 << n):
-        sub = SubsetMask(bits, n)
-        d = 1.0 - purity(partial_trace(rho, sub))
-        if sub.is_odd:
+    for bits in range(1, len(table)):
+        d = 1.0 - table[bits]
+        if bits.bit_count() % 2 == 1:
             rhs += d
         else:
             lhs += d

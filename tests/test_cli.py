@@ -9,6 +9,7 @@ import pytest
 
 from qcert import (
     MarginalSet,
+    Operator,
     SpaceShape,
     ghz_state,
     purity,
@@ -17,6 +18,7 @@ from qcert import (
     required_subsets,
     w_state,
 )
+from qcert import cli
 from qcert.cli import (
     dumps,
     main,
@@ -296,3 +298,116 @@ class TestInputHandling:
         doc = json.loads(out)
         assert doc["schema_version"] == "1"
         assert doc["tolerances"]["route_agreement"] == 1e-8
+
+
+def write_json(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def error_message(code, out):
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "error"
+    return doc["message"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_pure_vector_rejected(self, tmp_path, capsys, token):
+        text = dumps(state_file_dict(ghz_state(2))).replace("0.70710678118654746", token, 1)
+        path = write_json(tmp_path, "psi.json", text)
+        for command in ("measure", "monogamy", "disorder"):
+            message = error_message(*run_cli(capsys, command, "--state", path))
+            assert "'vector' holds a non-finite number" in message
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_mixed_matrix_rejected(self, tmp_path, capsys, token):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        text = dumps(state_file_dict(rho)).replace("0.25", token, 1)
+        path = write_json(tmp_path, "rho.json", text)
+        message = error_message(*run_cli(capsys, "disorder", "--state", path))
+        assert message == "state file: matrix holds a non-finite number"
+
+    def test_marginal_matrix_rejected(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        path = write_json(tmp_path, "m.json", dumps(doc).replace("0.5", "NaN", 1))
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path))
+        assert message == "marginal file entry 0: matrix holds a non-finite number"
+
+
+class TestGlobalPurityRange:
+    def test_below_one_over_d_exits_2(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        path = write_marginals(tmp_path, "m.json", rho)
+        message = error_message(
+            *run_cli(capsys, "compat", "--marginals", path, "--global-purity", "1e-9")
+        )
+        assert "[1/D, 1]" in message
+
+    def test_file_purity_below_one_over_d_exits_2(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        path = write_marginals(tmp_path, "m.json", rho, global_purity=1e-9)
+        error_message(*run_cli(capsys, "compat", "--marginals", path))
+
+    def test_exactly_one_over_d_accepted(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        path = write_marginals(tmp_path, "m.json", rho)
+        code, out = run_cli(capsys, "compat", "--marginals", path, "--global-purity", "0.25")
+        assert code == 0
+        assert json.loads(out)["assumed_global_purity"] == 0.25
+
+
+class TestFullSetMarginal:
+    def write(self, tmp_path, rho, full, global_purity=None):
+        entries = dict(MarginalSet.from_global(rho).entries)
+        entries[rho.shape.full_mask()] = full
+        doc = marginal_file_dict(rho.shape, entries, global_purity)
+        return write_json(tmp_path, "m.json", dumps(doc) + "\n")
+
+    def test_agreeing_values_pass(self, tmp_path, capsys):
+        rho = random_mixed(SpaceShape((2, 2)), 3, 5)
+        path = self.write(tmp_path, rho, rho, global_purity=purity(rho))
+        for extra in ([], ["--global-purity", repr(purity(rho))]):
+            code, out = run_cli(capsys, "compat", "--marginals", path, *extra)
+            assert code == 0
+            assert json.loads(out)["assumed_global_purity"] == purity(rho)
+
+    def test_disagreeing_values_exit_2_naming_both(self, tmp_path, capsys):
+        mixed = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        path = self.write(tmp_path, mixed, mixed)
+        for extra in (["--global-purity", "1"], ["--pure"]):
+            message = error_message(*run_cli(capsys, "compat", "--marginals", path, *extra))
+            assert "1.0" in message and "0.25" in message
+        path = self.write(tmp_path, mixed, mixed, global_purity=1.0)
+        for extra in ([], ["--global-purity", "0.25"]):
+            message = error_message(*run_cli(capsys, "compat", "--marginals", path, *extra))
+            assert "'global_purity' 1.0" in message and "0.25" in message
+
+    def test_full_marginal_is_the_only_source(self, tmp_path, capsys):
+        rho = random_mixed(SpaceShape((2, 2, 2, 2)), 6, 7)
+        path = self.write(tmp_path, rho, rho)
+        code, out = run_cli(capsys, "compat", "--marginals", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["assumed_global_purity"] == purity(rho)
+        assert doc["per_subset_purities"][-1] == {
+            "parties": [0, 1, 2, 3], "purity": purity(rho)
+        }
+
+
+class TestNoTracebacks:
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "deep.json", "[" * 200_000)
+        message = error_message(*run_cli(capsys, "disorder", "--state", path))
+        assert "recursion" in message
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_state_file", exhausted)
+        path = write_state(tmp_path, "b.json", ghz_state(2))
+        assert error_message(*run_cli(capsys, "disorder", "--state", path)) == "MemoryError"

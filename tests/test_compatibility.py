@@ -177,3 +177,50 @@ class TestMarginalSetValidation:
         assert consistency_precheck(marginals) == []
         rep = theorem2_check(marginals, global_purity=purity(rho))
         assert rep.slack >= -1e-9
+
+
+def with_full_marginal(rho, full=None) -> MarginalSet:
+    """Every proper marginal of ``rho`` plus ``full`` (default rho) on all parties."""
+    entries = dict(MarginalSet.from_global(rho).entries)
+    entries[rho.shape.full_mask()] = rho if full is None else full
+    return MarginalSet(rho.shape, entries)
+
+
+class TestGlobalPurityInput:
+    def test_purity_below_one_over_d_rejected(self):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        with pytest.raises(ValueError, match=r"1/D"):
+            theorem2_check(MarginalSet.from_global(rho), 1e-9)
+
+    def test_purity_exactly_one_over_d_accepted(self):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        rep = theorem2_check(MarginalSet.from_global(rho), 1 / 4)
+        assert rep.verdict == "consistent"
+        assert rep.assumed_global_purity == 0.25
+        assert abs(rep.slack - 0.25) < 1e-12
+
+    def test_full_marginal_fixes_the_global_purity(self):
+        rho = random_mixed(SpaceShape((2, 2, 2, 2)), 5, 11)
+        rep = theorem2_check(with_full_marginal(rho))
+        assert rep.assumed_global_purity == purity(rho)
+        assert rep.slack == self_check(rho).slack
+        assert rep.per_subset_purities[rho.shape.full_mask()] == purity(rho)
+
+    def test_agreeing_claim_is_accepted(self):
+        rho = random_mixed(SpaceShape((2, 2)), 3, 12)
+        rep = theorem2_check(with_full_marginal(rho), purity(rho) + 1e-10)
+        assert rep.assumed_global_purity == purity(rho)
+
+    def test_disagreeing_claim_names_both_values(self):
+        mixed = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        marginals = with_full_marginal(mixed)
+        with pytest.raises(ValueError, match=r"global purity 1\.0 .*purity 0\.25"):
+            theorem2_check(marginals, 1.0)
+        with pytest.raises(ValueError, match=r"purity 1\.0 .*purity 0\.25"):
+            theorem1_check(marginals)
+
+    def test_pure_claim_agrees_with_pure_full_marginal(self):
+        rho = w_state(4).density()
+        rep = theorem1_check(with_full_marginal(rho))
+        assert rep.verdict == "consistent"
+        assert abs(rep.slack) < 1e-9

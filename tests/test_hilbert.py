@@ -210,6 +210,11 @@ class TestStateHelpers:
         with pytest.raises(ValueError):
             PureState(SpaceShape((2,)), [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), -np.inf])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(SpaceShape((2,)), [1.0, bad])
+
     def test_permute_parties_roundtrip(self):
         psi = random_pure(SpaceShape((2, 3, 2)), 21)
         perm = (2, 0, 1)

@@ -1,0 +1,240 @@
+"""The purity table against the per-subset loops it replaced.
+
+The reference functions below are the loops that ``subset_purities``, the
+partition and subset-sum routes, ``corollary1_check`` and ``disorder_check``
+ran before every subset quantity read one table. The table must give the
+same floats bit for bit, since it keeps their accumulation order.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_unitary
+from qcert import (
+    Operator,
+    PureState,
+    SpaceShape,
+    SubsetMask,
+    apply_local_unitary,
+    corollary1_check,
+    corollary1_scan,
+    disorder_check,
+    entanglement_E_partitions,
+    entanglement_E_subset_sum,
+    enumerate_partitions,
+    exhaustive_E,
+    i_concurrence_sq,
+    marginal_purity,
+    measure_all,
+    partial_trace,
+    permute_parties,
+    purity,
+    purity_table,
+    random_mixed,
+    random_pure,
+    subset_purities,
+)
+from qcert.monogamy import _submasks
+
+SETTINGS = settings(max_examples=12, deadline=None)
+
+
+# --- reference loops ---------------------------------------------------------
+
+def ref_subset_purities(psi: PureState) -> dict[SubsetMask, float]:
+    n = psi.shape.n_parties
+    full = (1 << n) - 1
+    return {
+        SubsetMask(bits, n): marginal_purity(psi, SubsetMask(bits, n))
+        for bits in range(1, full)
+    }
+
+
+def ref_E_partitions(psi: PureState) -> float:
+    n = psi.shape.n_parties
+    s_global = 1.0 - marginal_purity(psi, psi.shape.full_mask())
+    total = 0.0
+    for part in enumerate_partitions(n):
+        s = (
+            (1.0 - marginal_purity(psi, part.a))
+            + (1.0 - marginal_purity(psi, part.b))
+            - s_global
+        )
+        total += s if part.partition_class == "P_I" else -s
+    return total
+
+
+def ref_E_subset_sum(psi: PureState) -> float:
+    odd = even = 0.0
+    for mask, p in ref_subset_purities(psi).items():
+        if mask.is_odd:
+            odd += p
+        else:
+            even += p
+    return 2.0 - odd + even
+
+
+def ref_corollary1(psi: PureState, index_set: SubsetMask) -> tuple[float, float]:
+    n = psi.shape.n_parties
+    lhs = rhs = 0.0
+    for bits in _submasks(index_set.bits):
+        sub = SubsetMask(bits, n)
+        c2 = i_concurrence_sq(psi, sub)
+        if sub.is_odd:
+            lhs += c2
+        else:
+            rhs += c2
+    return lhs, rhs
+
+
+def ref_disorder(rho: Operator) -> tuple[float, float]:
+    n = rho.shape.n_parties
+    lhs = rhs = 0.0
+    for bits in range(1, 1 << n):
+        sub = SubsetMask(bits, n)
+        d = 1.0 - purity(partial_trace(rho, sub))
+        if sub.is_odd:
+            rhs += d
+        else:
+            lhs += d
+    return lhs, rhs
+
+
+# --- strategies --------------------------------------------------------------
+
+def shapes(min_parties=1, max_parties=6, max_dim=144, even=False):
+    dims = st.lists(st.sampled_from((2, 3)), min_size=min_parties, max_size=max_parties)
+    dims = dims.filter(lambda d: math.prod(d) <= max_dim)
+    if even:
+        dims = dims.filter(lambda d: len(d) % 2 == 0)
+    return dims.map(lambda d: SpaceShape(tuple(d)))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def mapped_mask(bits: int, new_from_old) -> int:
+    """Mask of ``bits`` after position k takes old party new_from_old[k]."""
+    return sum(1 << k for k, old in enumerate(new_from_old) if bits >> old & 1)
+
+
+# --- the table itself ----------------------------------------------------------
+
+class TestTable:
+    def test_layout(self):
+        psi = random_pure(SpaceShape((2, 3, 2)), 4)
+        table = purity_table(psi)
+        assert len(table) == 8
+        assert all(isinstance(p, float) for p in table)
+        assert abs(table[0] - 1.0) < 1e-12
+        assert abs(table[7] - 1.0) < 1e-12
+        assert table[5] == marginal_purity(psi, SubsetMask(5, 3))
+
+    def test_operator_layout(self):
+        rho = random_mixed(SpaceShape((2, 2, 3)), 3, 2)
+        table = purity_table(rho)
+        assert len(table) == 8
+        assert abs(table[0] - 1.0) < 1e-12
+        assert table[7] == purity(rho)
+        assert table[3] == purity(partial_trace(rho, SubsetMask(3, 3)))
+
+    @SETTINGS
+    @given(shapes(), seeds)
+    def test_complement_symmetry_of_pure_states(self, shape, seed):
+        table = purity_table(random_pure(shape, seed))
+        full = len(table) - 1
+        for bits in range(len(table)):
+            assert abs(table[bits] - table[full ^ bits]) <= 1e-12
+
+    @SETTINGS
+    @given(st.data(), shapes(), seeds)
+    def test_invariant_under_permute_parties(self, data, shape, seed):
+        perm = data.draw(st.permutations(range(shape.n_parties)))
+        psi = random_pure(shape, seed)
+        states = [psi]
+        if shape.total_dim <= 48:
+            states.append(random_mixed(shape, min(3, shape.total_dim), seed))
+        for state in states:
+            table = purity_table(state)
+            moved = purity_table(permute_parties(state, perm))
+            for bits in range(len(table)):
+                assert abs(moved[mapped_mask(bits, perm)] - table[bits]) <= 1e-12
+
+    @SETTINGS
+    @given(st.data(), shapes(), seeds)
+    def test_invariant_under_local_unitary(self, data, shape, seed):
+        party = data.draw(st.integers(0, shape.n_parties - 1))
+        psi = random_pure(shape, seed)
+        u = random_unitary(shape.dims[party], seed)
+        table = purity_table(psi)
+        rotated = purity_table(apply_local_unitary(psi, party, u))
+        for a, b in zip(table, rotated):
+            assert abs(a - b) <= 1e-12
+
+
+# --- readers of the table against the old loops ------------------------------
+
+class TestBitEqualToOldLoops:
+    @SETTINGS
+    @given(shapes(even=True), seeds)
+    def test_measure_routes(self, shape, seed):
+        psi = random_pure(shape, seed)
+        ref_partitions = ref_E_partitions(psi)
+        ref_subset_sum = ref_E_subset_sum(psi)
+        assert entanglement_E_partitions(psi) == ref_partitions
+        assert entanglement_E_subset_sum(psi) == ref_subset_sum
+        rep = measure_all(psi)
+        assert rep.value_partitions == ref_partitions
+        assert rep.value_subset_sum == ref_subset_sum
+        assert rep.per_subset_purities == ref_subset_purities(psi)
+
+    @SETTINGS
+    @given(shapes(), seeds)
+    def test_subset_purities(self, shape, seed):
+        psi = random_pure(shape, seed)
+        ref = ref_subset_purities(psi)
+        assert subset_purities(psi) == ref
+        assert list(subset_purities(psi)) == list(ref)
+        assert measure_all(psi).per_subset_purities == ref
+
+    @SETTINGS
+    @given(shapes(min_parties=2), seeds)
+    def test_monogamy(self, shape, seed):
+        psi = random_pure(shape, seed)
+        reports = corollary1_scan(psi)
+        assert reports
+        for rep in reports:
+            assert (rep.lhs, rep.rhs) == ref_corollary1(psi, rep.index_set)
+            single = corollary1_check(psi, rep.index_set)
+            assert (single.lhs, single.rhs) == (rep.lhs, rep.rhs)
+
+    @SETTINGS
+    @given(shapes(max_dim=48, even=True), st.integers(1, 6), seeds)
+    def test_operator_disorder(self, shape, rank, seed):
+        rho = random_mixed(shape, min(rank, shape.total_dim), seed)
+        rep = disorder_check(rho)
+        assert (rep.lhs, rep.rhs) == ref_disorder(rho)
+
+    @SETTINGS
+    @given(shapes(max_dim=48, even=True), seeds)
+    def test_pure_disorder_skips_the_density(self, shape, seed):
+        psi = random_pure(shape, seed)
+        rep = disorder_check(psi)
+        lhs, rhs = ref_disorder(psi.density())
+        assert abs(rep.lhs - lhs) <= 1e-12
+        assert abs(rep.rhs - rhs) <= 1e-12
+
+
+class TestAgainstOracle:
+    @SETTINGS
+    @given(shapes(max_dim=96, even=True), seeds)
+    def test_table_routes_match_exhaustive_E(self, shape, seed):
+        psi = random_pure(shape, seed)
+        e = exhaustive_E(psi)
+        rep = measure_all(psi)
+        assert abs(rep.value_partitions - e) <= 1e-10
+        assert abs(rep.value_subset_sum - e) <= 1e-10
