@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,13 @@ from .compatibility import (
 from .config import TOL_INPUT, TOL_ROUTE, TOL_VERDICT
 from .hilbert import Operator, PureState, SpaceShape, SubsetMask, purity, validate_density
 from .measures import (
-    entanglement_E_partitions,
+    _e_partitions,
+    _e_subset_sum,
+    _proper_purities,
+    _require_even,
     entanglement_E_projector,
-    entanglement_E_subset_sum,
     measure_all,
-    subset_purities,
+    purity_table,
 )
 from .monogamy import corollary1_scan, disorder_check
 from .oracle import EXHAUSTIVE_MAX_PARTIES, exhaustive_E
@@ -82,6 +85,19 @@ def _is_scalar(x) -> bool:
     return x is None or isinstance(x, (bool, int, float, str))
 
 
+def _types(items) -> set[type]:
+    return set(map(type, items))
+
+
+def _is_float_rows(items: list) -> bool:
+    """True for a list of equal-length lists whose entries are all plain floats."""
+    return (
+        _types(items) == {list}
+        and len(set(map(len, items))) == 1
+        and _types(chain.from_iterable(items)) == {float}
+    )
+
+
 def _emit(obj, level: int, out: list[str]) -> None:
     pad = "  " * level
     if _is_scalar(obj):
@@ -94,6 +110,15 @@ def _emit(obj, level: int, out: list[str]) -> None:
             return
         if all(_is_scalar(v) for v in items):
             out.append("[" + ", ".join(_emit_scalar(v) for v in items) + "]")
+            return
+        if _is_float_rows(items):
+            # "%.17g" runs the formatter of format(x, ".17g"), so the bytes match
+            # the generic path below; one template formats every row at once.
+            flat = tuple(chain.from_iterable(items))
+            if not all(map(math.isfinite, flat)):
+                raise ValueError("non-finite number in JSON output")
+            row = "  " * (level + 1) + "[" + ", ".join(["%.17g"] * len(items[0])) + "]"
+            out.append("[\n" + ",\n".join([row] * len(items)) % flat + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(items):
@@ -127,26 +152,45 @@ def dumps(obj) -> str:
 
 # --- state and marginal file formats ---
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pair_lists(a: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs, one per entry of ``a``."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _vector_json(v: np.ndarray) -> list:
-    return [_pair(z) for z in v]
+def _all_of(items, kinds) -> bool:
+    """True when every item is an instance of ``kinds``; one check per distinct type."""
+    return all(issubclass(t, kinds) for t in _types(items))
 
 
-def _matrix_json(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in m]
+def _parse_pairs(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """A complex array of ``shape`` from nested lists of [re, im] number pairs.
 
-
-def _parse_complex(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in obj)
-    ):
-        raise ValueError(f"{where}: complex entries must be [re, im] number pairs")
-    return complex(obj[0], obj[1])
+    Each nesting level is checked at once over all of its lists, then every
+    number is converted in one ``np.array`` call.
+    """
+    if len(shape) == 1:
+        what, shape_error = "'vector'", f"{where}: 'vector' must hold {shape[0]} [re, im] pairs"
+    else:
+        what, shape_error = "matrix", f"{where}: expected a {shape[0]}x{shape[1]} matrix"
+    level = [obj]
+    for n in shape:
+        if not _all_of(level, list) or set(map(len, level)) != {n}:
+            raise ValueError(shape_error)
+        level = list(chain.from_iterable(level))
+    pair_error = f"{where}: complex entries must be [re, im] number pairs"
+    if not _all_of(level, (list, tuple)) or set(map(len, level)) != {2}:
+        raise ValueError(pair_error)
+    numbers = list(chain.from_iterable(level))
+    types = _types(numbers)
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        raise ValueError(pair_error)
+    try:
+        flat = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond double range
+        raise ValueError(f"{where}: {what} holds a non-finite number") from None
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{where}: {what} holds a non-finite number")
+    return flat.view(complex).reshape(shape)
 
 
 def _parse_dims(data: dict, where: str) -> SpaceShape:
@@ -160,31 +204,17 @@ def _parse_dims(data: dict, where: str) -> SpaceShape:
     return SpaceShape(tuple(dims))
 
 
-def _parse_matrix(obj, side: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != side:
-        raise ValueError(f"{where}: expected a {side}x{side} matrix")
-    out = np.zeros((side, side), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != side:
-            raise ValueError(f"{where}: expected a {side}x{side} matrix")
-        for j, cell in enumerate(row):
-            out[i, j] = _parse_complex(cell, where)
-    if not np.isfinite(out).all():
-        raise ValueError(f"{where}: matrix holds a non-finite number")
-    return out
-
-
 def state_file_dict(state: PureState | Operator) -> dict:
     if isinstance(state, PureState):
         return {
             "dims": list(state.shape.dims),
             "kind": "pure",
-            "vector": _vector_json(state.amplitudes),
+            "vector": _pair_lists(state.amplitudes),
         }
     return {
         "dims": list(state.shape.dims),
         "kind": "mixed",
-        "matrix": _matrix_json(state.entries),
+        "matrix": _pair_lists(state.entries),
     }
 
 
@@ -194,17 +224,11 @@ def parse_state_dict(data) -> PureState | Operator:
     shape = _parse_dims(data, "state file")
     kind = data.get("kind")
     if kind == "pure":
-        vec = data.get("vector")
-        if not isinstance(vec, list) or len(vec) != shape.total_dim:
-            raise ValueError(
-                f"state file: 'vector' must hold {shape.total_dim} [re, im] pairs"
-            )
-        amp = np.array([_parse_complex(z, "state file") for z in vec])
-        if not np.isfinite(amp).all():
-            raise ValueError("state file: 'vector' holds a non-finite number")
+        amp = _parse_pairs(data.get("vector"), (shape.total_dim,), "state file")
         return PureState(shape, amp)
     if kind == "mixed":
-        mat = _parse_matrix(data.get("matrix"), shape.total_dim, "state file")
+        side = shape.total_dim
+        mat = _parse_pairs(data.get("matrix"), (side, side), "state file")
         op = Operator(shape, mat)
         diag = validate_density(op, TOL_INPUT)
         if not diag.passes:
@@ -229,7 +253,7 @@ def marginal_file_dict(
     marginals = [
         {
             "parties": list(mask.parties),
-            "matrix": _matrix_json(entries[mask].entries),
+            "matrix": _pair_lists(entries[mask].entries),
         }
         for mask in sorted(entries, key=lambda m: (m.cardinality, m.bits))
     ]
@@ -265,14 +289,17 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         if mask in entries:
             raise ValueError(f"{where}: duplicate marginal for parties {parties}")
         side = shape.subshape(mask).total_dim
-        mat = _parse_matrix(item.get("matrix"), side, where)
+        mat = _parse_pairs(item.get("matrix"), (side, side), where)
         entries[mask] = Operator(shape.subshape(mask), mat)
     purity_raw = data.get("global_purity")
     global_purity: float | None = None
     if purity_raw is not None:
         if isinstance(purity_raw, bool) or not isinstance(purity_raw, (int, float)):
             raise ValueError("marginal file: 'global_purity' must be a number")
-        global_purity = float(purity_raw)
+        try:
+            global_purity = float(purity_raw)
+        except OverflowError:
+            raise ValueError("marginal file: 'global_purity' must be a finite number") from None
     marginals = MarginalSet(shape, entries)
     full = marginals.entries.get(shape.full_mask())
     if full is not None and global_purity is not None:
@@ -356,14 +383,16 @@ def cmd_measure(args) -> int:
         purities = rep.per_subset_purities
         if n % 2 == 0 and n <= EXHAUSTIVE_MAX_PARTIES:
             values["oracle"] = exhaustive_E(state)
-    elif args.route == "partitions":
-        values["partitions"] = entanglement_E_partitions(state)
-        purities = subset_purities(state)
+    elif args.route in ("partitions", "subset-sum"):
+        _require_even(n)
+        table = purity_table(state)
+        if args.route == "partitions":
+            values["partitions"] = _e_partitions(table)
+        else:
+            values["subset_sum"] = _e_subset_sum(table)
+        purities = _proper_purities(table)
     elif args.route == "projector":
         values["projector"] = entanglement_E_projector(state)
-    elif args.route == "subset-sum":
-        values["subset_sum"] = entanglement_E_subset_sum(state)
-        purities = subset_purities(state)
     else:
         values["oracle"] = exhaustive_E(state)
     present = {k: v for k, v in values.items() if v is not None}

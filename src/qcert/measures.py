@@ -123,10 +123,15 @@ def purity_table(state: PureState | Operator) -> list[float]:
     through ``partial_trace``; every subset quantity of the package reads
     this one table.
     """
+    return _purities(state, range(1 << state.shape.n_parties))
+
+
+def _purities(state: PureState | Operator, masks) -> list[float]:
+    """Tr rho_A^2 for each mask in ``masks``, in order; fills ``purity_table``."""
     n = state.shape.n_parties
     if isinstance(state, PureState):
-        return [marginal_purity(state, SubsetMask(bits, n)) for bits in range(1 << n)]
-    return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in range(1 << n)]
+        return [marginal_purity(state, SubsetMask(bits, n)) for bits in masks]
+    return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in masks]
 
 
 def _proper_purities(table: list[float]) -> dict[SubsetMask, float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import TOL_VERDICT
 from .hilbert import Operator, PureState, SubsetMask, _check_mask
-from .measures import purity_table
+from .measures import _purities, purity_table
 
 
 def _submasks(bits: int) -> list[int]:
@@ -40,8 +40,9 @@ class MonogamyReport:
         return self.lhs - self.rhs
 
 
-def _corollary1(table: list[float], index_set: SubsetMask) -> MonogamyReport:
-    full = len(table) - 1
+def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
+    """The report from ``table[bits]``, which needs only the submasks of the index set."""
+    full = (1 << index_set.n_parties) - 1
     lhs = rhs = 0.0
     for bits in _submasks(index_set.bits):
         c2 = 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits])
@@ -62,7 +63,8 @@ def corollary1_check(psi: PureState, index_set: SubsetMask) -> MonogamyReport:
     _check_mask(psi.shape, index_set)
     if index_set.cardinality < 2 or index_set.is_odd:
         raise ValueError("index set must have even cardinality >= 2")
-    return _corollary1(purity_table(psi), index_set)
+    masks = _submasks(index_set.bits)
+    return _corollary1(dict(zip(masks, _purities(psi, masks))), index_set)
 
 
 def corollary1_scan(psi: PureState) -> list[MonogamyReport]:

@@ -11,6 +11,8 @@ from qcert import (
     MarginalSet,
     Operator,
     SpaceShape,
+    entanglement_E_partitions,
+    entanglement_E_subset_sum,
     ghz_state,
     purity,
     random_mixed,
@@ -18,7 +20,7 @@ from qcert import (
     required_subsets,
     w_state,
 )
-from qcert import cli
+from qcert import cli, measures
 from qcert.cli import (
     dumps,
     main,
@@ -123,6 +125,29 @@ class TestMeasure:
         doc = json.loads(out)
         assert doc["values"]["partitions"] is None
         assert abs(doc["values"]["projector"]) < 1e-12
+
+    @pytest.mark.parametrize("route", ["partitions", "subset-sum"])
+    def test_single_table_routes_build_the_table_once(self, tmp_path, capsys, monkeypatch, route):
+        calls = []
+        original = measures.marginal_purity
+
+        def counted(psi, subset):
+            calls.append(subset.bits)
+            return original(psi, subset)
+
+        psi = random_pure(SpaceShape((2, 2, 2, 2)), 1)
+        path = write_state(tmp_path, "r4.json", psi)
+        monkeypatch.setattr(measures, "marginal_purity", counted)
+        code, out = run_cli(capsys, "measure", "--state", path, "--route", route)
+        assert code == 0
+        assert sorted(calls) == list(range(16))
+        doc = json.loads(out)
+        assert len(doc["per_subset_purities"]) == 14
+        key = route.replace("-", "_")
+        route_fn = {"partitions": entanglement_E_partitions,
+                    "subset_sum": entanglement_E_subset_sum}[key]
+        monkeypatch.undo()
+        assert doc["values"][key] == route_fn(psi)
 
     def test_mixed_state_rejected(self, tmp_path, capsys):
         path = write_state(tmp_path, "mx.json", random_mixed(SpaceShape((2, 2)), 3, 0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from qcert import measures
 from qcert import (
     SpaceShape,
     SubsetMask,
@@ -51,6 +52,22 @@ class TestCorollary1:
     def test_full_set_index_on_even_party_count(self):
         rep = corollary1_check(random_pure(SpaceShape((2, 2)), 3), mask([0, 1], 2))
         assert rep.holds
+
+    def test_single_check_evaluates_only_the_submasks(self, monkeypatch):
+        psi = random_pure(SpaceShape((2,) * 6), 4)
+        index_set = mask([1, 4], 6)
+        expected = next(r for r in corollary1_scan(psi) if r.index_set == index_set)
+        calls = []
+        original = measures.marginal_purity
+
+        def counted(state, subset):
+            calls.append(subset.bits)
+            return original(state, subset)
+
+        monkeypatch.setattr(measures, "marginal_purity", counted)
+        rep = corollary1_check(psi, index_set)
+        assert sorted(calls) == [0b000000, 0b000010, 0b010000, 0b010010]
+        assert rep == expected
 
     def test_odd_index_set_rejected(self):
         with pytest.raises(ValueError, match="even"):
