@@ -7,7 +7,7 @@ printed with 17 significant digits so doubles round-trip losslessly. Every
 report carries a schema_version and the tolerances used for its verdicts.
 
 Exit codes: 0 success / inequality holds, 2 input error, 3 certificate of
-violation, 4 inconclusive.
+violation, 4 inconclusive, 141 stdout closed by the reader.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -26,12 +28,13 @@ from .compatibility import (
     VERDICT_CONSISTENT,
     VERDICT_INCOMPATIBLE,
     VERDICT_INCONCLUSIVE,
+    checked_global_purity,
     consistency_precheck,
     theorem1_check,
     theorem2_check,
 )
 from .config import TOL_INPUT, TOL_ROUTE, TOL_VERDICT
-from .hilbert import Operator, PureState, SpaceShape, SubsetMask, purity, validate_density
+from .hilbert import Operator, PureState, SpaceShape, SubsetMask, validate_density
 from .measures import (
     _e_partitions,
     _e_subset_sum,
@@ -51,6 +54,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_VIOLATION = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer stopped by SIGPIPE
 
 _VERDICT_EXIT = {
     VERDICT_CONSISTENT: EXIT_OK,
@@ -237,12 +241,15 @@ def parse_state_dict(data) -> PureState | Operator:
     raise ValueError("state file: 'kind' must be 'pure' or 'mixed'")
 
 
-def load_state_file(path: str) -> PureState | Operator:
+def _read_json(path: str):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_state_dict(data)
+
+
+def load_state_file(path: str) -> PureState | Operator:
+    return parse_state_dict(_read_json(path))
 
 
 def marginal_file_dict(
@@ -291,33 +298,22 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         side = shape.subshape(mask).total_dim
         mat = _parse_pairs(item.get("matrix"), (side, side), where)
         entries[mask] = Operator(shape.subshape(mask), mat)
-    purity_raw = data.get("global_purity")
-    global_purity: float | None = None
-    if purity_raw is not None:
-        if isinstance(purity_raw, bool) or not isinstance(purity_raw, (int, float)):
-            raise ValueError("marginal file: 'global_purity' must be a number")
-        try:
-            global_purity = float(purity_raw)
-        except OverflowError:
-            raise ValueError("marginal file: 'global_purity' must be a finite number") from None
     marginals = MarginalSet(shape, entries)
-    full = marginals.entries.get(shape.full_mask())
-    if full is not None and global_purity is not None:
-        p_full = purity(full)
-        if abs(global_purity - p_full) > TOL_INPUT:
-            raise ValueError(
-                f"marginal file: 'global_purity' {global_purity} differs from the "
-                f"full-set marginal's purity {p_full}"
-            )
+    global_purity = data.get("global_purity")
+    subject = "marginal file: 'global_purity'"
+    if global_purity is not None:
+        if isinstance(global_purity, bool) or not isinstance(global_purity, (int, float)):
+            raise ValueError(f"{subject} must be a number")
+        # Checked here, so a flag that overrides the field does not hide a bad one.
+        try:
+            global_purity = checked_global_purity(marginals, global_purity, subject)
+        except OverflowError:  # an integer beyond double range
+            raise ValueError(f"{subject} must be a finite number") from None
     return marginals, global_purity
 
 
 def load_marginal_file(path: str) -> tuple[MarginalSet, float | None]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_marginal_dict(data)
+    return parse_marginal_dict(_read_json(path))
 
 
 # --- report documents ---
@@ -493,11 +489,12 @@ def cmd_sample(args) -> int:
     else:
         rank = args.rank if args.rank is not None else shape.total_dim
         state = random_mixed(shape, rank, args.seed)
-    text = dumps(state_file_dict(state)) + "\n"
+    text = dumps(state_file_dict(state))
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text + "\n")
     else:
-        print(text, end="")
+        # The newline is a second write: it fails on a closed pipe after a cut-short one.
+        print(text)
     return EXIT_OK
 
 
@@ -587,7 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, RecursionError, MemoryError) as exc:
         print(dumps(error_dict(str(exc) or type(exc).__name__)))
         return EXIT_INPUT_ERROR

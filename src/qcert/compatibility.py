@@ -28,6 +28,7 @@ from .hilbert import (
     purity,
     validate_density,
 )
+from .measures import _signed_sum
 
 BEST_CASE = "best-case"
 
@@ -102,6 +103,25 @@ class CompatReport:
     tol_verdict: float = TOL_VERDICT
 
 
+def checked_global_purity(marginals: MarginalSet, g, subject: str) -> float:
+    """``g`` as a float, once it is a possible global purity of ``marginals``.
+
+    It must lie in [1/D, 1] and match the purity of a full-set marginal, when
+    the set holds one, both within TOL_INPUT. ``subject`` names the value in
+    the error message.
+    """
+    g = float(g)
+    lowest = 1.0 / marginals.shape.total_dim
+    if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
+        raise ValueError(f"{subject} must lie in [1/D, 1] = [{lowest}, 1], got {g}")
+    full = marginals.entries.get(marginals.shape.full_mask())
+    if full is not None and abs(g - purity(full)) > TOL_INPUT:
+        raise ValueError(
+            f"{subject} {g} differs from the full-set marginal's purity {purity(full)}"
+        )
+    return g
+
+
 def _certificate(
     marginals: MarginalSet,
     theorem: str,
@@ -109,47 +129,26 @@ def _certificate(
 ) -> CompatReport:
     """Bound the alternating purity sum of ``marginals``.
 
-    The full-set term is the purity of a provided full-set marginal, which
-    ``claimed_purity`` must then match within TOL_INPUT; otherwise it is
-    ``claimed_purity``, or the best case 1 when that is None.
+    The full-set term is the purity of a provided full-set marginal, otherwise
+    ``claimed_purity`` (already passed through ``checked_global_purity``), or
+    the best case 1 when that is None.
     """
     n = marginals.shape.n_parties
     needed = required_subsets(n)
     purities = {mask: purity(op) for mask, op in marginals.entries.items()}
-    full = marginals.shape.full_mask()
-    if full in purities:
-        global_purity = purities[full]
-        if claimed_purity is not None and abs(claimed_purity - global_purity) > TOL_INPUT:
-            raise ValueError(
-                f"claimed global purity {claimed_purity} differs from the full-set "
-                f"marginal's purity {global_purity}"
-            )
-        recorded_purity: float | str = global_purity
-    elif claimed_purity is None:
+    global_purity = purities.get(marginals.shape.full_mask(), claimed_purity)
+    recorded_purity: float | str = global_purity
+    if global_purity is None:
         global_purity, recorded_purity = 1.0, BEST_CASE
-    else:
-        global_purity = recorded_purity = claimed_purity
     missing = tuple(m for m in needed if m not in purities)
-    if missing:
-        return CompatReport(
-            theorem,
-            marginals.shape.dims,
-            None,
-            None,
-            1.0,
-            None,
-            VERDICT_INCONCLUSIVE,
-            purities,
-            missing,
-            recorded_purity,
-        )
-    lhs_proper = 0.0
-    for mask in needed:
-        lhs_proper += purities[mask] if mask.is_odd else -purities[mask]
-    full_sign = 1.0 if n % 2 == 1 else -1.0
-    lhs = lhs_proper + full_sign * global_purity
-    slack = 1.0 - lhs
-    verdict = VERDICT_INCOMPATIBLE if slack < -TOL_VERDICT else VERDICT_CONSISTENT
+    lhs = lhs_proper = slack = None
+    verdict = VERDICT_INCONCLUSIVE
+    if not missing:
+        lhs_proper = _signed_sum((mask.bits, purities[mask]) for mask in needed)
+        full_sign = 1.0 if n % 2 == 1 else -1.0
+        lhs = lhs_proper + full_sign * global_purity
+        slack = 1.0 - lhs
+        verdict = VERDICT_INCOMPATIBLE if slack < -TOL_VERDICT else VERDICT_CONSISTENT
     return CompatReport(
         theorem,
         marginals.shape.dims,
@@ -159,7 +158,7 @@ def _certificate(
         slack,
         verdict,
         purities,
-        (),
+        missing,
         recorded_purity,
     )
 
@@ -169,7 +168,8 @@ def theorem1_check(marginals: MarginalSet) -> CompatReport:
 
     A provided full-set marginal must then be pure within TOL_INPUT.
     """
-    return _certificate(marginals, "theorem1", 1.0)
+    g = checked_global_purity(marginals, 1.0, "global purity")
+    return _certificate(marginals, "theorem1", g)
 
 
 def theorem2_check(
@@ -185,13 +185,9 @@ def theorem2_check(
     n = marginals.shape.n_parties
     if n % 2 == 1:
         raise ValueError("this certificate requires an even party count")
-    if global_purity is None:
-        return _certificate(marginals, "theorem2", None)
-    g = float(global_purity)
-    lowest = 1.0 / marginals.shape.total_dim
-    if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
-        raise ValueError(f"global purity must lie in [1/D, 1] = [{lowest}, 1], got {g}")
-    return _certificate(marginals, "theorem2", g)
+    if global_purity is not None:
+        global_purity = checked_global_purity(marginals, global_purity, "global purity")
+    return _certificate(marginals, "theorem2", global_purity)
 
 
 @dataclass(frozen=True)
@@ -203,13 +199,11 @@ class MarginalMismatch:
     max_deviation: float
 
 
-def consistency_precheck(
-    marginals: MarginalSet, tol: float = TOL_INPUT
-) -> list[MarginalMismatch]:
+def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:
     """Cross-check every nested pair of provided marginals.
 
     For keys A strictly inside B, the B-marginal traced down to A must match
-    the provided A-marginal entrywise within ``tol``. Redundant entries are
+    the provided A-marginal entrywise within TOL_INPUT. Redundant entries are
     legitimate inputs; this check is how they earn their keep.
     """
     keys = sorted(marginals.entries, key=lambda m: (m.cardinality, m.bits))
@@ -226,7 +220,7 @@ def consistency_precheck(
             dev = float(
                 np.max(np.abs(reduced.entries - marginals.entries[small].entries))
             )
-            if dev > tol:
+            if dev > TOL_INPUT:
                 out.append(MarginalMismatch(small, big, dev))
     return out
 

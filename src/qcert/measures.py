@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_ROUTE
 from .hilbert import (
     Operator,
     PureState,
@@ -134,6 +133,25 @@ def _purities(state: PureState | Operator, masks) -> list[float]:
     return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in masks]
 
 
+def _split_sum(terms) -> tuple[float, float]:
+    """Sums of the ``(mask, value)`` terms of odd and of even mask size, in order."""
+    odd = even = 0.0
+    for bits, value in terms:
+        if bits.bit_count() & 1:
+            odd += value
+        else:
+            even += value
+    return odd, even
+
+
+def _signed_sum(terms) -> float:
+    """Sum of the ``(mask, value)`` terms, negated for an even mask size, in order."""
+    total = 0.0
+    for bits, value in terms:
+        total += value if bits.bit_count() & 1 else -value
+    return total
+
+
 def _proper_purities(table: list[float]) -> dict[SubsetMask, float]:
     n = len(table).bit_length() - 1
     return {SubsetMask(bits, n): table[bits] for bits in range(1, len(table) - 1)}
@@ -145,12 +163,13 @@ def subset_purities(psi: PureState) -> dict[SubsetMask, float]:
 
 
 def _e_partitions(table: list[float]) -> float:
-    s_global = 1.0 - table[-1]
-    total = 0.0
-    for part in enumerate_partitions(len(table).bit_length() - 1):
-        s = (1.0 - table[part.a.bits]) + (1.0 - table[part.b.bits]) - s_global
-        total += s if part.partition_class == "P_I" else -s
-    return total
+    # Block a holds party 0; both blocks are odd (class P_I) exactly when |a| is.
+    full = len(table) - 1
+    s_global = 1.0 - table[full]
+    return _signed_sum(
+        (a, (1.0 - table[a]) + (1.0 - table[full ^ a]) - s_global)
+        for a in range(1, full, 2)
+    )
 
 
 def entanglement_E_partitions(psi: PureState) -> float:
@@ -169,12 +188,7 @@ def entanglement_E_projector(psi: PureState) -> float:
 
 
 def _e_subset_sum(table: list[float]) -> float:
-    odd = even = 0.0
-    for bits in range(1, len(table) - 1):
-        if bits.bit_count() % 2 == 1:
-            odd += table[bits]
-        else:
-            even += table[bits]
+    odd, even = _split_sum((bits, table[bits]) for bits in range(1, len(table) - 1))
     return 2.0 - odd + even
 
 
@@ -204,7 +218,6 @@ class MeasureReport:
     value_partitions: float | None
     value_subset_sum: float | None
     per_subset_purities: dict[SubsetMask, float]
-    tol_route: float = TOL_ROUTE
 
     def route_values(self) -> dict[str, float]:
         values = {"projector": self.value_projector}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .config import TOL_VERDICT
 from .hilbert import Operator, PureState, SubsetMask, _check_mask
-from .measures import _purities, purity_table
+from .measures import _purities, _split_sum, purity_table
 
 
 def _submasks(bits: int) -> list[int]:
@@ -43,13 +43,10 @@ class MonogamyReport:
 def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
     """The report from ``table[bits]``, which needs only the submasks of the index set."""
     full = (1 << index_set.n_parties) - 1
-    lhs = rhs = 0.0
-    for bits in _submasks(index_set.bits):
-        c2 = 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits])
-        if bits.bit_count() % 2 == 1:
-            lhs += c2
-        else:
-            rhs += c2
+    lhs, rhs = _split_sum(
+        (bits, 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits]))
+        for bits in _submasks(index_set.bits)
+    )
     return MonogamyReport(index_set, lhs, rhs, lhs >= rhs - TOL_VERDICT)
 
 
@@ -101,11 +98,5 @@ def disorder_check(rho: PureState | Operator) -> DisorderReport:
     if rho.shape.n_parties % 2 == 1:
         raise ValueError("disorder relation requires an even party count")
     table = purity_table(rho)
-    lhs = rhs = 0.0
-    for bits in range(1, len(table)):
-        d = 1.0 - table[bits]
-        if bits.bit_count() % 2 == 1:
-            rhs += d
-        else:
-            lhs += d
+    rhs, lhs = _split_sum((bits, 1.0 - table[bits]) for bits in range(1, len(table)))
     return DisorderReport(lhs, rhs, lhs <= rhs + TOL_VERDICT)

@@ -133,13 +133,10 @@ def _check_doubled_cap(shape: SpaceShape) -> None:
 
 
 def expectation_pure(psi: PureState, pattern: SignPattern) -> float:
-    """<psi x psi| A_pattern |psi x psi> via pairwise swap contractions."""
+    """<psi x psi| A_pattern |psi x psi>: the mixed route with the one eigenpair (1, psi)."""
     _check_pattern(psi.shape, pattern)
     _check_doubled_cap(psi.shape)
-    dims = psi.shape.dims
-    phi = _doubled_tensor(psi.amplitudes, psi.amplitudes, dims)
-    work = _apply_pair_projectors(phi, pattern.signs, len(dims))
-    return float(np.vdot(phi, work).real)
+    return _expectation_from_eigs([1.0], psi.amplitudes[:, None], psi.shape.dims, pattern.signs)
 
 
 def _expectation_from_eigs(vals, vecs, dims, signs) -> float:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from qcert.cli import (
     dumps,
     main,
     marginal_file_dict,
+    parse_marginal_dict,
     parse_state_dict,
     state_file_dict,
 )
@@ -385,6 +390,37 @@ class TestGlobalPurityRange:
         assert json.loads(out)["assumed_global_purity"] == 0.25
 
 
+class TestFileGlobalPurityAlwaysChecked:
+    """The file's 'global_purity' is checked even when a flag overrides it."""
+
+    VALUES = [7.0, float("nan"), float("inf"), 1e-9]
+
+    def doc(self, value):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc["global_purity"] = value
+        return doc
+
+    def message(self, value):
+        return f"marginal file: 'global_purity' must lie in [1/D, 1] = [0.25, 1], got {value}"
+
+    @pytest.mark.parametrize("value", VALUES, ids=str)
+    def test_parser_rejects(self, value):
+        with pytest.raises(ValueError) as info:
+            parse_marginal_dict(self.doc(value))
+        assert str(info.value) == self.message(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=str)
+    @pytest.mark.parametrize(
+        "flag", [["--pure"], ["--global-purity", "0.5"]], ids=["pure", "global-purity"]
+    )
+    def test_cli_exits_2_under_a_flag(self, tmp_path, capsys, flag, value):
+        # json.dumps writes the non-finite values as NaN and Infinity.
+        path = write_json(tmp_path, "m.json", json.dumps(self.doc(value)))
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path, *flag))
+        assert message == self.message(value)
+
+
 class TestFullSetMarginal:
     def write(self, tmp_path, rho, full, global_purity=None):
         entries = dict(MarginalSet.from_global(rho).entries)
@@ -436,3 +472,26 @@ class TestNoTracebacks:
         monkeypatch.setattr(cli, "load_state_file", exhausted)
         path = write_state(tmp_path, "b.json", ghz_state(2))
         assert error_message(*run_cli(capsys, "disorder", "--state", path)) == "MemoryError"
+
+
+class TestClosedStdout:
+    def test_stdout_closed_at_start_is_not_an_error(self, monkeypatch):
+        # Python sets sys.stdout to None when file descriptor 1 is closed.
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["demo", "eq8"]) == 3
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_exits_141_and_stays_silent(self, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # About 180 KB of output, far more than a pipe holds, so the writer
+        # is still writing when the reader goes away.
+        argv = [sys.executable, "-m", "qcert.cli", "sample", "--dims", ",".join(["2"] * 12)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(8) == b'{\n  "dim'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""

@@ -2,19 +2,24 @@
 
 The reference functions below are the loops that ``subset_purities``, the
 partition and subset-sum routes, ``corollary1_check`` and ``disorder_check``
-ran before every subset quantity read one table. The table must give the
-same floats bit for bit, since it keeps their accumulation order.
+ran before every subset quantity read one table, the certificate's own
+signed loop, and the swap contraction ``expectation_pure`` ran before it
+became the one-eigenpair case of the mixed route. The table and the two
+ordered reductions over it must give the same floats bit for bit, since
+they keep the accumulation order.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unitary
 from qcert import (
+    MarginalSet,
     Operator,
     PureState,
     SpaceShape,
@@ -36,9 +41,13 @@ from qcert import (
     purity_table,
     random_mixed,
     random_pure,
+    required_subsets,
     subset_purities,
+    theorem2_check,
 )
+from qcert.compatibility import _certificate
 from qcert.monogamy import _submasks
+from qcert.observables import PLUS, SignPattern, all_patterns, expectation_pure
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
@@ -102,6 +111,39 @@ def ref_disorder(rho: Operator) -> tuple[float, float]:
         else:
             lhs += d
     return lhs, rhs
+
+
+def ref_certificate(marginals: MarginalSet, claimed_purity: float | None):
+    """(lhs, lhs_proper, slack) of the certificate, None for each when incomplete."""
+    n = marginals.shape.n_parties
+    needed = required_subsets(n)
+    purities = {mask: purity(op) for mask, op in marginals.entries.items()}
+    full = marginals.shape.full_mask()
+    if full in purities:
+        global_purity = purities[full]
+    elif claimed_purity is None:
+        global_purity = 1.0
+    else:
+        global_purity = claimed_purity
+    if any(m not in purities for m in needed):
+        return None, None, None
+    lhs_proper = 0.0
+    for mask in needed:
+        lhs_proper += purities[mask] if mask.is_odd else -purities[mask]
+    full_sign = 1.0 if n % 2 == 1 else -1.0
+    lhs = lhs_proper + full_sign * global_purity
+    return lhs, lhs_proper, 1.0 - lhs
+
+
+def ref_expectation_pure(psi: PureState, pattern: SignPattern) -> float:
+    dims = psi.shape.dims
+    n = len(dims)
+    phi = np.kron(psi.amplitudes, psi.amplitudes).reshape(dims + dims)
+    work = phi
+    for i, s in enumerate(pattern.signs):
+        swapped = np.swapaxes(work, i, n + i)
+        work = 0.5 * (work + swapped) if s == PLUS else 0.5 * (work - swapped)
+    return float(np.vdot(phi, work).real)
 
 
 # --- strategies --------------------------------------------------------------
@@ -227,6 +269,38 @@ class TestBitEqualToOldLoops:
         lhs, rhs = ref_disorder(psi.density())
         assert abs(rep.lhs - lhs) <= 1e-12
         assert abs(rep.rhs - rhs) <= 1e-12
+
+
+    @SETTINGS
+    @given(st.data(), shapes(min_parties=2, max_dim=48), st.integers(1, 6), seeds)
+    def test_certificate(self, data, shape, rank, seed):
+        rho = random_mixed(shape, min(rank, shape.total_dim), seed)
+        entries = dict(MarginalSet.from_global(rho).entries)
+        if data.draw(st.booleans(), label="full-set marginal"):
+            entries[shape.full_mask()] = rho
+        masks = sorted(entries, key=lambda m: m.bits)
+        for mask in data.draw(st.lists(st.sampled_from(masks), max_size=2), label="missing"):
+            entries.pop(mask, None)
+        marginals = MarginalSet(shape, entries)
+        claimed = data.draw(st.sampled_from([None, purity(rho)]), label="claim")
+        ref = ref_certificate(marginals, claimed)
+        rep = _certificate(marginals, "theorem2", claimed)
+        assert (rep.lhs, rep.lhs_proper, rep.slack) == ref
+        if shape.n_parties % 2 == 0:
+            rep = theorem2_check(marginals, claimed)
+            assert (rep.lhs, rep.lhs_proper, rep.slack) == ref
+
+    @SETTINGS
+    @given(shapes(max_dim=48), seeds, st.integers(0, 47))
+    def test_expectation_pure(self, shape, seed, k):
+        basis = np.zeros(shape.total_dim, dtype=complex)
+        basis[k % shape.total_dim] = -1.0
+        for psi in (random_pure(shape, seed), PureState(shape, basis)):
+            for pattern in all_patterns(shape.n_parties):
+                value = expectation_pure(psi, pattern)
+                ref = ref_expectation_pure(psi, pattern)
+                assert value == ref
+                assert math.copysign(1.0, value) == math.copysign(1.0, ref)
 
 
 class TestAgainstOracle:

@@ -1,0 +1,85 @@
+"""SHA-256 and exit code of the default stdout of every report command.
+
+The inputs are small seeded states written with the package's own writer,
+each with D <= 64, so no BLAS reduction is split across threads and the
+bytes do not depend on the thread count. A refactor of the sums behind the
+reports must leave every digest as it is: the default output is meant to
+stay byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from qcert import MarginalSet, SpaceShape, SubsetMask, purity, random_mixed, random_pure
+from qcert.cli import dumps, main, marginal_file_dict, state_file_dict
+
+# Input files, written once per module.
+STATES = {
+    "even": random_pure(SpaceShape((2, 2, 2, 2)), 11),
+    "odd": random_pure(SpaceShape((2, 2, 2)), 12),
+    "qudits": random_pure(SpaceShape((2, 3, 2, 3)), 13),
+    "mixed": random_mixed(SpaceShape((2, 2, 2, 2)), 3, 14),
+}
+COMPAT_STATE = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 15)
+
+# job -> (argv with {name} for input paths, exit code, SHA-256 of stdout)
+JOBS = {
+    "measure-even": (
+        ("measure", "--state", "{even}", "--route", "all"), 0,
+        "a9780a2c178d585391d6fb3c02b02b7e391071612b9d3830d38bb38d22f41ff3"),
+    "measure-odd": (
+        ("measure", "--state", "{odd}", "--route", "all"), 0,
+        "19020b9eda952a8238a44148fb03b9d10f776c260b5f9cb8932d4027788ebab1"),
+    "measure-qudits-oracle": (
+        ("measure", "--state", "{qudits}", "--route", "all"), 0,
+        "7ba52a13e046fddefbe24425f9f045ebf594f4b73ab21ce7397ba6f618ce73f4"),
+    "monogamy": (
+        ("monogamy", "--state", "{even}"), 0,
+        "1074844866287c1f5398492819c2f622bc430822410b3e33297b13eb51ca11a0"),
+    "disorder-pure": (
+        ("disorder", "--state", "{even}"), 0,
+        "14c494281e432eda0c53d63b189d75479c5467338c6f65fe7f47818743a15b05"),
+    "disorder-mixed": (
+        ("disorder", "--state", "{mixed}"), 0,
+        "d273a1cf2e9ea82272df1d8b5143f26bbfb48e92a0457cac9c8c84168d10ea1d"),
+    "compat-full": (
+        ("compat", "--marginals", "{full}"), 0,
+        "d78db08ebb2fb65e39449b4f5715ab746e771b0c4774fbbc701255c011c323e6"),
+    "compat-pure": (
+        ("compat", "--marginals", "{full}", "--pure"), 0,
+        "6b282143e1489d5adaab47d060c89f6260ed34b04c0485d1b2e08ccc710e6350"),
+    "compat-missing": (
+        ("compat", "--marginals", "{missing}"), 4,
+        "6e6e0a4e5eeaf69168396749bd400928ecc72f7cba878d4dc11dd5e4bb50f41c"),
+    "demo-eq8": (
+        ("demo", "eq8"), 3,
+        "eee853ba13d22b73a7a6573bc18a16b31d0ea118df0ce47038712abd49dedcd6"),
+}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("digests")
+    docs = {name: state_file_dict(state) for name, state in STATES.items()}
+    rho = COMPAT_STATE
+    entries = dict(MarginalSet.from_global(rho).entries)
+    docs["full"] = marginal_file_dict(rho.shape, entries, purity(rho))
+    del entries[SubsetMask.from_parties((0, 2), 4)]
+    docs["missing"] = marginal_file_dict(rho.shape, entries)
+    out = {}
+    for name, doc in docs.items():
+        path = root / f"{name}.json"
+        path.write_text(dumps(doc) + "\n")
+        out[name] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_stdout_digest(capsys, paths, job):
+    argv, code, digest = JOBS[job]
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
