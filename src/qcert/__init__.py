@@ -56,7 +56,6 @@ from .monogamy import (
     disorder_check,
 )
 from .observables import (
-    SignPattern,
     all_patterns,
     expectation_mixed,
     expectation_pure,
@@ -88,7 +87,6 @@ __all__ = [
     "MonogamyReport",
     "Operator",
     "PureState",
-    "SignPattern",
     "SpaceShape",
     "SubsetMask",
     "all_patterns",

@@ -40,6 +40,7 @@ from .measures import (
     _e_subset_sum,
     _proper_purities,
     _require_even,
+    _route_deltas,
     entanglement_E_projector,
     measure_all,
     purity_table,
@@ -391,13 +392,8 @@ def cmd_measure(args) -> int:
         values["projector"] = entanglement_E_projector(state)
     else:
         values["oracle"] = exhaustive_E(state)
-    present = {k: v for k, v in values.items() if v is not None}
-    deltas = {}
-    names = sorted(present)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            deltas[f"{a}_vs_{b}"] = abs(present[a] - present[b])
-    max_delta = max(deltas.values()) if deltas else None
+    deltas = _route_deltas(values)
+    max_delta = max(deltas.values(), default=None)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "measure_report",
@@ -581,10 +577,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """The command's exit code; an input error is printed as an ``error`` document."""
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise
+    except (ValueError, OSError, RecursionError, MemoryError) as exc:
+        print(dumps(error_dict(str(exc) or type(exc).__name__)))
+        return EXIT_INPUT_ERROR
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = _run(args)
         if sys.stdout is not None:  # None when the process started with stdout closed
             sys.stdout.flush()
         return code
@@ -592,9 +599,6 @@ def main(argv=None) -> int:
         # Send what is still buffered to the null device, so the exit flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ValueError, OSError, RecursionError, MemoryError) as exc:
-        print(dumps(error_dict(str(exc) or type(exc).__name__)))
-        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

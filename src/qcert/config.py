@@ -6,8 +6,6 @@ import os
 
 # Validation of user-supplied matrices (absorbs I/O noise).
 TOL_INPUT = 1e-8
-# Internal algebraic identities.
-TOL_NUMERIC = 1e-10
 # Agreement between independent computation routes of the same quantity.
 TOL_ROUTE = 1e-8
 # Slack threshold below which a certificate reports a violation.

@@ -21,7 +21,7 @@ from .hilbert import (
     partial_trace,
     purity,
 )
-from .observables import SignPattern, expectation_pure
+from .observables import _doubled_fits, expectation_pure
 
 ODD_N_ERROR = "partition classes undefined for odd N"
 
@@ -183,8 +183,7 @@ def entanglement_E_projector(psi: PureState) -> float:
 
     Evaluable for any party count; for odd N the value vanishes.
     """
-    n = psi.shape.n_parties
-    return float(2**n) * expectation_pure(psi, SignPattern.all_minus(n))
+    return float(2**psi.shape.n_parties) * expectation_pure(psi, psi.shape.full_mask())
 
 
 def _e_subset_sum(table: list[float]) -> float:
@@ -209,37 +208,48 @@ def i_concurrence_sq(psi: PureState, subset: SubsetMask) -> float:
     return 2.0 * (1.0 - marginal_purity(psi, subset))
 
 
+def _route_deltas(values: dict[str, float | None]) -> dict[str, float]:
+    """|a - b| for every pair of routes with a value, keyed "a_vs_b" in name order."""
+    names = sorted(k for k, v in values.items() if v is not None)
+    return {
+        f"{a}_vs_{b}": abs(values[a] - values[b])
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     """Values of E from every applicable route plus the purities they used."""
 
     dims: tuple[int, ...]
-    value_projector: float
+    value_projector: float | None
     value_partitions: float | None
     value_subset_sum: float | None
     per_subset_purities: dict[SubsetMask, float]
 
     def route_values(self) -> dict[str, float]:
-        values = {"projector": self.value_projector}
-        if self.value_partitions is not None:
-            values["partitions"] = self.value_partitions
-        if self.value_subset_sum is not None:
-            values["subset_sum"] = self.value_subset_sum
-        return values
+        values = {
+            "projector": self.value_projector,
+            "partitions": self.value_partitions,
+            "subset_sum": self.value_subset_sum,
+        }
+        return {k: v for k, v in values.items() if v is not None}
 
     def max_route_delta(self) -> float | None:
-        vals = list(self.route_values().values())
-        if len(vals) < 2:
-            return None
-        return max(abs(x - y) for i, x in enumerate(vals) for y in vals[i + 1 :])
+        return max(_route_deltas(self.route_values()).values(), default=None)
 
 
 def measure_all(psi: PureState) -> MeasureReport:
-    """Evaluate every applicable route; partition forms are omitted for odd N."""
+    """Evaluate every applicable route; partition forms are omitted for odd N.
+
+    The projector route is omitted when its doubled vector, D^2 entries, exceeds
+    the state cap (above 10 qubits).
+    """
     n = psi.shape.n_parties
     table = purity_table(psi)
     purities = _proper_purities(table)
-    projector = entanglement_E_projector(psi)
+    projector = entanglement_E_projector(psi) if _doubled_fits(psi.shape) else None
     if n % 2 == 0:
         partitions = _e_partitions(table)
         subset_sum = _e_subset_sum(table)

@@ -5,12 +5,12 @@ N parties of copy 2, so the projector pair for party i acts on tensor factor
 positions (i, N+i). Expectations on states are evaluated by applying the
 per-party (I +- SWAP)/2 contractions directly to the doubled vector; explicit
 doubled operators exist only for small systems and for auditing.
+
+A sign pattern is the ``SubsetMask`` of the parties that carry the
+antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
 """
 
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +24,10 @@ from .hilbert import (
     _permute_matrix_factors,
 )
 
-PLUS = "+"
-MINUS = "-"
 
-
-@dataclass(frozen=True)
-class SignPattern:
-    """One '+'/'-' choice per party, selecting symmetric or antisymmetric."""
-
-    signs: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        signs = tuple(self.signs)
-        if any(s not in (PLUS, MINUS) for s in signs):
-            raise ValueError(f"signs must be '+' or '-', got {signs}")
-        object.__setattr__(self, "signs", signs)
-
-    @classmethod
-    def all_minus(cls, n: int) -> SignPattern:
-        return cls((MINUS,) * n)
-
-    @classmethod
-    def all_plus(cls, n: int) -> SignPattern:
-        return cls((PLUS,) * n)
-
-    @classmethod
-    def from_string(cls, text: str) -> SignPattern:
-        return cls(tuple(text))
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    @property
-    def antisym_count(self) -> int:
-        return sum(1 for s in self.signs if s == MINUS)
-
-
-def all_patterns(n: int):
-    """All 2^n sign patterns in a fixed deterministic order."""
-    return [SignPattern(signs) for signs in itertools.product((PLUS, MINUS), repeat=n)]
+def all_patterns(n: int) -> list[SubsetMask]:
+    """All 2^n sign patterns, each the mask of its antisymmetric parties, ascending."""
+    return [SubsetMask(bits, n) for bits in range(1 << n)]
 
 
 def swap_matrix(d: int) -> np.ndarray:
@@ -73,37 +38,28 @@ def swap_matrix(d: int) -> np.ndarray:
     return s
 
 
-def pair_projector(d: int, sign: str) -> Operator:
-    """(I +- SWAP)/2 on two copies of a d-dimensional system."""
+def pair_projector(d: int, antisymmetric: bool) -> Operator:
+    """(I - SWAP)/2 when ``antisymmetric``, else (I + SWAP)/2, on two copies of C^d."""
     if d < 2:
         raise ValueError("pair_projector needs dimension >= 2")
-    if sign not in (PLUS, MINUS):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     eye = np.eye(d * d)
     swap = swap_matrix(d)
-    mat = (eye + swap) / 2.0 if sign == PLUS else (eye - swap) / 2.0
+    mat = (eye - swap) / 2.0 if antisymmetric else (eye + swap) / 2.0
     return Operator(SpaceShape((d, d)), mat)
 
 
-def _check_pattern(shape: SpaceShape, pattern: SignPattern) -> None:
-    if len(pattern) != shape.n_parties:
-        raise ValueError(
-            f"pattern has {len(pattern)} signs but the shape has {shape.n_parties} parties"
-        )
-
-
-def observable(shape: SpaceShape, pattern: SignPattern) -> Operator:
+def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
     """Explicit tensor product of per-party pair projectors on the doubled space.
 
     The result acts on the copy-major layout (all parties of copy 1, then all
     of copy 2). Memory scales as D^4; large systems must use the contraction
     routes instead.
     """
-    _check_pattern(shape, pattern)
+    _check_mask(shape, pattern)
     mat = np.eye(1)
     interleaved: tuple[int, ...] = ()
-    for d, sign in zip(shape.dims, pattern.signs):
-        mat = np.kron(mat, pair_projector(d, sign).entries)
+    for i, d in enumerate(shape.dims):
+        mat = np.kron(mat, pair_projector(d, pattern.contains(i)).entries)
         interleaved = interleaved + (d, d)
     n = shape.n_parties
     # Built factor order is (0c1, 0c2, 1c1, 1c2, ...); reorder to copy-major.
@@ -116,31 +72,36 @@ def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims) -> np.nda
     return np.kron(amp_left, amp_right).reshape(dims + dims)
 
 
-def _apply_pair_projectors(tensor: np.ndarray, signs, n: int) -> np.ndarray:
+def _apply_pair_projectors(tensor: np.ndarray, pattern: SubsetMask) -> np.ndarray:
+    n = pattern.n_parties
     work = tensor
-    for i, s in enumerate(signs):
+    for i in range(n):
         swapped = np.swapaxes(work, i, n + i)
-        work = 0.5 * (work + swapped) if s == PLUS else 0.5 * (work - swapped)
+        work = 0.5 * (work - swapped) if pattern.contains(i) else 0.5 * (work + swapped)
     return work
+
+
+def _doubled_fits(shape: SpaceShape) -> bool:
+    """True when the doubled vector, D^2 entries, stays within the state cap."""
+    return shape.total_dim**2 <= VECTOR_DIM_CAP
 
 
 def _check_doubled_cap(shape: SpaceShape) -> None:
     d = shape.total_dim
-    if d * d > VECTOR_DIM_CAP:
+    if not _doubled_fits(shape):
         raise ValueError(
             f"doubled vector of length {d * d} exceeds the state cap {VECTOR_DIM_CAP}"
         )
 
 
-def expectation_pure(psi: PureState, pattern: SignPattern) -> float:
+def expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
     """<psi x psi| A_pattern |psi x psi>: the mixed route with the one eigenpair (1, psi)."""
-    _check_pattern(psi.shape, pattern)
+    _check_mask(psi.shape, pattern)
     _check_doubled_cap(psi.shape)
-    return _expectation_from_eigs([1.0], psi.amplitudes[:, None], psi.shape.dims, pattern.signs)
+    return _expectation_from_eigs([1.0], psi.amplitudes[:, None], psi.shape.dims, pattern)
 
 
-def _expectation_from_eigs(vals, vecs, dims, signs) -> float:
-    n = len(dims)
+def _expectation_from_eigs(vals, vecs, dims, pattern: SubsetMask) -> float:
     total = 0.0
     for k in range(len(vals)):
         for l in range(len(vals)):
@@ -148,22 +109,22 @@ def _expectation_from_eigs(vals, vecs, dims, signs) -> float:
             if weight == 0.0:
                 continue
             phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims)
-            work = _apply_pair_projectors(phi, signs, n)
+            work = _apply_pair_projectors(phi, pattern)
             total += weight * float(np.vdot(phi, work).real)
     return total
 
 
-def expectation_mixed(rho: Operator, pattern: SignPattern) -> float:
+def expectation_mixed(rho: Operator, pattern: SubsetMask) -> float:
     """Tr(A_pattern rho x rho) via the eigendecomposition of rho.
 
     Reduces to pure-pair contractions sum_kl lam_k lam_l <k,l|A|k,l>, avoiding
     any D^2 x D^2 matrix.
     """
-    _check_pattern(rho.shape, pattern)
+    _check_mask(rho.shape, pattern)
     _check_doubled_cap(rho.shape)
     m = rho.entries
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return _expectation_from_eigs(vals, vecs, rho.shape.dims, pattern.signs)
+    return _expectation_from_eigs(vals, vecs, rho.shape.dims, pattern)
 
 
 def purity_via_observables(rho: Operator) -> float:
@@ -174,8 +135,8 @@ def purity_via_observables(rho: Operator) -> float:
     dims = rho.shape.dims
     total = 0.0
     for pattern in all_patterns(rho.shape.n_parties):
-        if pattern.antisym_count % 2 == 1:
-            total += _expectation_from_eigs(vals, vecs, dims, pattern.signs)
+        if pattern.is_odd:
+            total += _expectation_from_eigs(vals, vecs, dims, pattern)
     return 1.0 - 2.0 * total
 
 

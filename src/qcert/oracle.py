@@ -17,7 +17,7 @@ import numpy as np
 
 from .hilbert import Operator, PureState, SpaceShape, SubsetMask, _check_mask
 from .measures import ODD_N_ERROR
-from .observables import SignPattern, observable
+from .observables import observable
 
 NAIVE_TRACE_MAX_DIM = 64
 NAIVE_EXPECTATION_MAX_DIM = 256
@@ -79,7 +79,7 @@ def _naive_purity(matrix: np.ndarray) -> float:
     return float(acc.real)
 
 
-def naive_expectation(state_pair: Operator, pattern: SignPattern) -> float:
+def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
     """Tr(A_pattern M) with the observable fully materialized.
 
     ``state_pair`` lives on the doubled space (two copies of some single-copy

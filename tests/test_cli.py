@@ -154,6 +154,29 @@ class TestMeasure:
         monkeypatch.undo()
         assert doc["values"][key] == route_fn(psi)
 
+    def test_route_all_skips_the_projector_above_the_doubled_cap(self, tmp_path, capsys):
+        # 12 qubits: the doubled vector would hold 2^24 entries, over the 2^20 cap.
+        psi = random_pure(SpaceShape((2,) * 12), 5)
+        path = write_state(tmp_path, "q12.json", psi)
+        code, out = run_cli(capsys, "measure", "--state", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["values"]["projector"] is None
+        assert doc["values"]["oracle"] is None
+        assert list(doc["route_deltas"]) == ["partitions_vs_subset_sum"]
+        assert doc["max_route_delta"] == abs(
+            doc["values"]["partitions"] - doc["values"]["subset_sum"]
+        )
+        assert doc["routes_agree"] is True
+        assert len(doc["per_subset_purities"]) == 2**12 - 2
+        assert doc["values"]["subset_sum"] == entanglement_E_subset_sum(psi)
+
+    def test_explicit_projector_route_above_the_doubled_cap_exits_2(self, tmp_path, capsys):
+        path = write_state(tmp_path, "q11.json", random_pure(SpaceShape((2,) * 11), 5))
+        code, out = run_cli(capsys, "measure", "--state", path, "--route", "projector")
+        assert code == 2
+        assert "doubled vector of length 4194304" in json.loads(out)["message"]
+
     def test_mixed_state_rejected(self, tmp_path, capsys):
         path = write_state(tmp_path, "mx.json", random_mixed(SpaceShape((2, 2)), 3, 0))
         code, out = run_cli(capsys, "measure", "--state", path)
@@ -474,6 +497,15 @@ class TestNoTracebacks:
         assert error_message(*run_cli(capsys, "disorder", "--state", path)) == "MemoryError"
 
 
+def child_env(unbuffered: bool) -> dict:
+    """Environment of a ``python -m qcert.cli`` child, with stdout buffered or not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestClosedStdout:
     def test_stdout_closed_at_start_is_not_an_error(self, monkeypatch):
         # Python sets sys.stdout to None when file descriptor 1 is closed.
@@ -482,15 +514,26 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_exits_141_and_stays_silent(self, unbuffered):
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = child_env(unbuffered)
         # About 180 KB of output, far more than a pipe holds, so the writer
         # is still writing when the reader goes away.
         argv = [sys.executable, "-m", "qcert.cli", "sample", "--dims", ",".join(["2"] * 12)]
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.read(8) == b'{\n  "dim'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_input_error_exits_141_and_stays_silent(self, tmp_path, unbuffered):
+        missing = str(tmp_path / "missing.json")
+        argv = [sys.executable, "-m", "qcert.cli", "disorder", "--state", missing]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(unbuffered)
+        )
+        # Closed before the child has written anything: its error document
+        # meets a pipe with no reader.
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 141

@@ -197,6 +197,12 @@ class TestMeasureAll:
         assert rep.max_route_delta() < 1e-10
         assert len(rep.per_subset_purities) == 14
 
+    def test_projector_skipped_above_the_doubled_cap(self):
+        rep = measure_all(random_pure(SpaceShape((2,) * 12), 5))
+        assert rep.value_projector is None
+        assert list(rep.route_values()) == ["partitions", "subset_sum"]
+        assert rep.max_route_delta() == abs(rep.value_partitions - rep.value_subset_sum)
+
     def test_odd_report_has_projector_only(self):
         rep = measure_all(random_pure(SpaceShape((2, 2, 2)), 3))
         assert rep.value_partitions is None

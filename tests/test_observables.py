@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from conftest import bell_state
 from qcert import (
     Operator,
-    SignPattern,
     SpaceShape,
     SubsetMask,
     all_patterns,
@@ -43,15 +42,15 @@ def doubled_mixed(rho) -> Operator:
 
 class TestPairProjectors:
     def test_singlet_projector_is_rank_one(self):
-        p = pair_projector(2, "-")
+        p = pair_projector(2, True)
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         assert abs(np.trace(p.entries) - 1.0) < 1e-12
         assert_allclose(p.entries, np.outer(singlet, singlet), atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_projector_algebra(self, d):
-        plus = pair_projector(d, "+").entries
-        minus = pair_projector(d, "-").entries
+        plus = pair_projector(d, False).entries
+        minus = pair_projector(d, True).entries
         assert_allclose(plus + minus, np.eye(d * d), atol=1e-12)
         assert_allclose(plus @ plus, plus, atol=1e-12)
         assert_allclose(minus @ minus, minus, atol=1e-12)
@@ -62,13 +61,13 @@ class TestPairProjectors:
 
 class TestObservable:
     def test_single_party_minus_is_singlet_projector(self):
-        a = observable(SpaceShape((2,)), SignPattern.from_string("-"))
-        assert_allclose(a.entries, pair_projector(2, "-").entries, atol=1e-15)
+        a = observable(SpaceShape((2,)), SubsetMask(1, 1))
+        assert_allclose(a.entries, pair_projector(2, True).entries, atol=1e-15)
 
     def test_all_plus_fixes_doubled_product_states(self):
         factors = [random_pure(SpaceShape((2,)), s) for s in (1, 2)]
         psi = product_state(factors)
-        a = observable(psi.shape, SignPattern.all_plus(2))
+        a = observable(psi.shape, SubsetMask(0, 2))
         phi = np.kron(psi.amplitudes, psi.amplitudes)
         assert_allclose(a.entries @ phi, phi, atol=1e-12)
 
@@ -83,19 +82,19 @@ class TestObservable:
 class TestExpectationPure:
     def test_bell_all_minus(self):
         # Oracle-minted from the materialized observable: 1/4.
-        val = expectation_pure(bell_state(), SignPattern.from_string("--"))
+        val = expectation_pure(bell_state(), SubsetMask(3, 2))
         assert abs(val - 0.25) < 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
     def test_odd_antisymmetric_patterns_vanish(self, dims):
         psi = random_pure(SpaceShape(dims), 11)
         for pattern in all_patterns(len(dims)):
-            if pattern.antisym_count % 2 == 1:
+            if pattern.is_odd:
                 assert abs(expectation_pure(psi, pattern)) < 1e-12
 
     def test_product_state_all_minus_vanishes(self):
         psi = product_state([random_pure(SpaceShape((2,)), s) for s in range(3)])
-        assert abs(expectation_pure(psi, SignPattern.all_minus(3))) < 1e-12
+        assert abs(expectation_pure(psi, SubsetMask(7, 3))) < 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2)])
     def test_pattern_completeness(self, dims):
@@ -114,17 +113,17 @@ class TestExpectationPure:
 
     def test_pattern_length_checked(self):
         with pytest.raises(ValueError):
-            expectation_pure(bell_state(), SignPattern.from_string("-"))
+            expectation_pure(bell_state(), SubsetMask(1, 1))
 
 
 class TestExpectationMixed:
     def test_maximally_mixed_qubit_minus(self):
         rho = Operator(SpaceShape((2,)), np.eye(2) / 2)
-        assert abs(expectation_mixed(rho, SignPattern.from_string("-")) - 0.25) < 1e-12
+        assert abs(expectation_mixed(rho, SubsetMask(1, 1)) - 0.25) < 1e-12
 
     def test_pure_density_odd_pattern_vanishes(self):
         rho = random_pure(SpaceShape((2, 2)), 3).density()
-        assert abs(expectation_mixed(rho, SignPattern.from_string("-+"))) < 1e-12
+        assert abs(expectation_mixed(rho, SubsetMask(1, 2))) < 1e-12
 
     def test_pattern_completeness(self):
         rho = random_mixed(SpaceShape((2, 3)), 4, 5)

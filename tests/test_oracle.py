@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from conftest import bell_state, max_abs
 from qcert import (
     Operator,
-    SignPattern,
     SpaceShape,
     SubsetMask,
     all_patterns,
@@ -67,14 +66,14 @@ class TestNaiveExpectation:
         psi = bell_state()
         amp2 = np.kron(psi.amplitudes, psi.amplitudes)
         pair = Operator(SpaceShape((2, 2, 2, 2)), np.outer(amp2, amp2.conj()))
-        assert abs(naive_expectation(pair, SignPattern.from_string("--")) - 0.25) < 1e-12
+        assert abs(naive_expectation(pair, SubsetMask(3, 2)) - 0.25) < 1e-12
 
     def test_odd_patterns_vanish_on_pure_pairs(self):
         psi = random_pure(SpaceShape((2, 3)), 4)
         amp2 = np.kron(psi.amplitudes, psi.amplitudes)
         pair = Operator(SpaceShape((2, 3, 2, 3)), np.outer(amp2, amp2.conj()))
         for pattern in all_patterns(2):
-            if pattern.antisym_count % 2 == 1:
+            if pattern.is_odd:
                 assert abs(naive_expectation(pair, pattern)) < 1e-12
 
     def test_pattern_completeness(self):
@@ -86,7 +85,7 @@ class TestNaiveExpectation:
     def test_requires_doubled_shape(self):
         rho = random_mixed(SpaceShape((2, 2, 3)), 2, 1)
         with pytest.raises(ValueError, match="doubled"):
-            naive_expectation(rho, SignPattern.all_minus(1))
+            naive_expectation(rho, SubsetMask(1, 1))
 
 
 class TestExhaustiveMeasure:

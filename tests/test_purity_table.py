@@ -47,7 +47,7 @@ from qcert import (
 )
 from qcert.compatibility import _certificate
 from qcert.monogamy import _submasks
-from qcert.observables import PLUS, SignPattern, all_patterns, expectation_pure
+from qcert.observables import all_patterns, expectation_pure
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
@@ -135,14 +135,14 @@ def ref_certificate(marginals: MarginalSet, claimed_purity: float | None):
     return lhs, lhs_proper, 1.0 - lhs
 
 
-def ref_expectation_pure(psi: PureState, pattern: SignPattern) -> float:
+def ref_expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
     dims = psi.shape.dims
     n = len(dims)
     phi = np.kron(psi.amplitudes, psi.amplitudes).reshape(dims + dims)
     work = phi
-    for i, s in enumerate(pattern.signs):
+    for i in range(n):
         swapped = np.swapaxes(work, i, n + i)
-        work = 0.5 * (work + swapped) if s == PLUS else 0.5 * (work - swapped)
+        work = 0.5 * (work - swapped) if pattern.contains(i) else 0.5 * (work + swapped)
     return float(np.vdot(phi, work).real)
 
 
