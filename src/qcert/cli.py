@@ -3,8 +3,14 @@
 State files carry {"dims", "kind", "vector"|"matrix"}; marginal files carry
 {"dims", "marginals": [{"parties", "matrix"}, ...], "global_purity"?}.
 Complex numbers serialize as two-element [re, im] arrays, and every number is
-printed with 17 significant digits so doubles round-trip losslessly. Every
-report carries a schema_version and the tolerances used for its verdicts.
+printed with 17 significant digits, a negative zero as -0.0, so doubles
+round-trip losslessly. Every report carries a schema_version and the
+tolerances used for its verdicts.
+
+``state_file_dict`` and ``marginal_file_dict`` hold the complex arrays as
+numpy arrays, which only ``dumps`` writes; ``parse_state_dict`` and
+``parse_marginal_dict`` take decoded JSON, so a built dict goes through
+``json.loads(dumps(doc))`` before it is parsed.
 
 Exit codes: 0 success / inequality holds, 2 input error, 3 certificate of
 violation, 4 inconclusive, 141 stdout closed by the reader.
@@ -69,7 +75,8 @@ _VERDICT_EXIT = {
 def _format_number(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite number in JSON output")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would decode as the integer 0
 
 
 def _emit_scalar(x) -> str:
@@ -94,19 +101,30 @@ def _types(items) -> set[type]:
     return set(map(type, items))
 
 
-def _is_float_rows(items: list) -> bool:
-    """True for a list of equal-length lists whose entries are all plain floats."""
-    return (
-        _types(items) == {list}
-        and len(set(map(len, items))) == 1
-        and _types(chain.from_iterable(items)) == {float}
-    )
+def _pair_layout(shape: tuple[int, ...], level: int) -> str:
+    """The text of nested [re, im] pairs of ``shape`` at ``level``, "%.17g" per number."""
+    if not shape:
+        return "[%.17g, %.17g]"
+    row = "  " * (level + 1) + _pair_layout(shape[1:], level + 1)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def _emit(obj, level: int, out: list[str]) -> None:
     pad = "  " * level
     if _is_scalar(obj):
         out.append(_emit_scalar(obj))
+        return
+    if isinstance(obj, np.ndarray) and obj.dtype == complex:
+        # "%.17g" runs the formatter of format(x, ".17g"), so the bytes match the
+        # list path; one % fills every number.
+        if not np.isfinite(obj).all():
+            raise ValueError("non-finite number in JSON output")
+        flat = obj.ravel().view(float)
+        text = _pair_layout(obj.shape, level) % tuple(flat.tolist())
+        if np.signbit(flat[flat == 0]).any():
+            # "%.17g" prints a negative zero as "-0", always a whole pair part.
+            text = text.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
+        out.append(text)
         return
     if isinstance(obj, (list, tuple)):
         items = list(obj)
@@ -115,15 +133,6 @@ def _emit(obj, level: int, out: list[str]) -> None:
             return
         if all(_is_scalar(v) for v in items):
             out.append("[" + ", ".join(_emit_scalar(v) for v in items) + "]")
-            return
-        if _is_float_rows(items):
-            # "%.17g" runs the formatter of format(x, ".17g"), so the bytes match
-            # the generic path below; one template formats every row at once.
-            flat = tuple(chain.from_iterable(items))
-            if not all(map(math.isfinite, flat)):
-                raise ValueError("non-finite number in JSON output")
-            row = "  " * (level + 1) + "[" + ", ".join(["%.17g"] * len(items[0])) + "]"
-            out.append("[\n" + ",\n".join([row] * len(items)) % flat + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(items):
@@ -156,11 +165,6 @@ def dumps(obj) -> str:
 
 
 # --- state and marginal file formats ---
-
-def _pair_lists(a: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs, one per entry of ``a``."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
 
 def _all_of(items, kinds) -> bool:
     """True when every item is an instance of ``kinds``; one check per distinct type."""
@@ -214,12 +218,12 @@ def state_file_dict(state: PureState | Operator) -> dict:
         return {
             "dims": list(state.shape.dims),
             "kind": "pure",
-            "vector": _pair_lists(state.amplitudes),
+            "vector": state.amplitudes,
         }
     return {
         "dims": list(state.shape.dims),
         "kind": "mixed",
-        "matrix": _pair_lists(state.entries),
+        "matrix": state.entries,
     }
 
 
@@ -261,7 +265,7 @@ def marginal_file_dict(
     marginals = [
         {
             "parties": list(mask.parties),
-            "matrix": _pair_lists(entries[mask].entries),
+            "matrix": entries[mask].entries,
         }
         for mask in sorted(entries, key=lambda m: (m.cardinality, m.bits))
     ]
@@ -411,9 +415,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    marginals, file_purity = load_marginal_file(args.marginals)
     if args.pure and args.global_purity is not None:
         raise ValueError("--pure and --global-purity are mutually exclusive")
+    marginals, file_purity = load_marginal_file(args.marginals)
     if args.pure:
         rep = theorem1_check(marginals)
     else:
@@ -487,7 +491,9 @@ def cmd_sample(args) -> int:
         state = random_mixed(shape, rank, args.seed)
     text = dumps(state_file_dict(state))
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as f:  # two writes: text + "\n" would copy the text
+            f.write(text)
+            f.write("\n")
     else:
         # The newline is a second write: it fails on a closed pipe after a cut-short one.
         print(text)
@@ -516,7 +522,7 @@ def eq8_marginal_file() -> dict:
 
 def cmd_demo(args) -> int:
     file_dict = eq8_marginal_file()
-    marginals, global_purity = parse_marginal_dict(file_dict)
+    marginals, global_purity = parse_marginal_dict(json.loads(dumps(file_dict)))
     rep = theorem2_check(marginals, global_purity)
     violations = consistency_precheck(marginals)
     doc = {

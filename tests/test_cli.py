@@ -241,6 +241,13 @@ class TestCompat:
         assert code == 2
         assert json.loads(out)["kind"] == "error"
 
+    def test_flag_conflict_is_reported_before_the_file_is_read(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        message = error_message(*run_cli(
+            capsys, "compat", "--marginals", path, "--pure", "--global-purity", "0.5"
+        ))
+        assert message == "--pure and --global-purity are mutually exclusive"
+
 
 class TestMonogamyAndDisorder:
     def test_ghz3_monogamy(self, tmp_path, capsys):
@@ -421,6 +428,7 @@ class TestFileGlobalPurityAlwaysChecked:
     def doc(self, value):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
         doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = json.loads(dumps(doc))
         doc["global_purity"] = value
         return doc
 

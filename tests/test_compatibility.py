@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from qcert import (
     theorem2_check,
     w_state,
 )
-from qcert.cli import eq8_marginal_file, parse_marginal_dict
+from qcert.cli import dumps, eq8_marginal_file, parse_marginal_dict
 
 
 def mask(parties, n):
@@ -31,7 +33,7 @@ def mask(parties, n):
 
 
 def eq8_set() -> MarginalSet:
-    marginals, _ = parse_marginal_dict(eq8_marginal_file())
+    marginals, _ = parse_marginal_dict(json.loads(dumps(eq8_marginal_file())))
     return marginals
 
 

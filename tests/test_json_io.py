@@ -44,7 +44,8 @@ HUGE = 10**400  # a 401-digit integer, beyond double range
 def ref_format_number(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite number in JSON output")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def ref_emit_scalar(x) -> str:
@@ -152,17 +153,12 @@ def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=complex).tobytes()
 
 
-def bits_up_to_zero_sign(a: np.ndarray) -> bytes:
-    """As ``bits``, with -0.0 read as 0.0: the writer prints it as ``-0``, which
-    JSON decodes as the integer 0."""
-    return bits(np.asarray(a) + 0.0)
-
-
 # --- generated documents -----------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 special = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300,
-                           1.7976931348623157e308, -1e300, 1e16, 0.1, 1 / 3])
+                           1.7976931348623157e308, -1.7976931348623157e308, -1e300,
+                           1e16, 0.1, 1 / 3])
 floats = st.one_of(finite, special)
 ints = st.integers(min_value=-(2**70), max_value=2**70)
 
@@ -185,6 +181,14 @@ documents = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def complex_arrays(ndim: int):
+    """Complex arrays of ``ndim`` axes, sides 1-5, both parts drawn from ``floats``."""
+    shapes = st.lists(st.integers(min_value=1, max_value=5), min_size=ndim, max_size=ndim)
+    return shapes.flatmap(lambda shape: st.lists(
+        floats, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape),
+    ).map(lambda parts: np.array(parts).view(complex).reshape(shape)))
 
 
 class TestDumpsMatchesReference:
@@ -216,13 +220,47 @@ class TestDumpsMatchesReference:
             doc = state_file_dict(state)
             key, array = ("vector", state.amplitudes) if "vector" in doc else (
                 "matrix", state.entries)
-            assert doc[key] == ref_pair_lists(array)
+            assert json.loads(dumps(doc))[key] == ref_pair_lists(array)
             assert dumps(doc) == ref_dumps({**doc, key: ref_pair_lists(array)})
 
     def test_marginal_file(self):
         rho = random_mixed(SpaceShape((2, 3, 2)), 3, 1)
         doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries), 0.5)
-        assert dumps(doc) == ref_dumps(doc)
+        ref = dict(doc, marginals=[dict(m, matrix=ref_pair_lists(m["matrix"]))
+                                   for m in doc["marginals"]])
+        assert dumps(doc) == ref_dumps(ref)
+
+
+# The array at the top level, as a file's "vector" or "matrix", and as a
+# marginal's "matrix" inside the document of ``demo`` (nesting level 4).
+PLACES = {
+    "top-level": lambda a: a,
+    "in-dict": lambda a: {"dims": [2], "matrix": a},
+    "in-list-of-dicts": lambda a: {"marginal_file": {"marginals": [
+        {"parties": [0], "matrix": a}, {"parties": [1], "matrix": a}]}},
+}
+
+
+class TestArrayWriterMatchesReference:
+    @SETTINGS
+    @given(st.one_of(complex_arrays(1), complex_arrays(2)))
+    def test_arrays(self, a):
+        for arr in (a, a.T):  # a.T: an array that is not C-contiguous
+            for place, wrap in PLACES.items():
+                assert dumps(wrap(arr)) == ref_dumps(wrap(ref_pair_lists(arr))), place
+
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_part_raises_the_same_error(self, place, bad, part):
+        a = np.array([[0.5, -0.0j], [0.25, 0.0]])
+        a[1, 0] = complex(bad, 0.5) if part == "re" else complex(0.5, bad)
+        wrap = PLACES[place]
+        with pytest.raises(ValueError) as ref:
+            ref_dumps(wrap(ref_pair_lists(a)))
+        with pytest.raises(ValueError) as got:
+            dumps(wrap(a))
+        assert str(got.value) == str(ref.value) == "non-finite number in JSON output"
 
 
 class TestRoundTrip:
@@ -241,7 +279,7 @@ class TestRoundTrip:
         psi = PureState(SpaceShape(dims), amp)
         back = parse_state_dict(json.loads(dumps(state_file_dict(psi))))
         assert np.array_equal(back.amplitudes, psi.amplitudes)
-        assert bits_up_to_zero_sign(back.amplitudes) == bits_up_to_zero_sign(psi.amplitudes)
+        assert bits(back.amplitudes) == bits(psi.amplitudes)
 
     @SETTINGS
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([(2,), (2, 3)]))
@@ -340,6 +378,7 @@ class TestHugeIntegers:
     def test_global_purity_is_not_finite(self):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
         doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = json.loads(dumps(doc))
         doc["global_purity"] = HUGE
         with pytest.raises(ValueError, match="'global_purity' must be a finite number"):
             parse_marginal_dict(doc)
@@ -360,6 +399,7 @@ class TestHugeIntegers:
     def test_cli_global_purity_exits_2(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
         doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = json.loads(dumps(doc))
         doc["global_purity"] = HUGE
         message = error_of(capsys, "compat", "--marginals", write_doc(tmp_path, doc))
         assert message == "marginal file: 'global_purity' must be a finite number"
