@@ -36,6 +36,36 @@ JOBS = {
     "measure-qudits-oracle": (
         ("measure", "--state", "{qudits}", "--route", "all"), 0,
         "7ba52a13e046fddefbe24425f9f045ebf594f4b73ab21ce7397ba6f618ce73f4"),
+    "measure-route-partitions-even": (
+        ("measure", "--state", "{even}", "--route", "partitions"), 0,
+        "f061ed14ff1a991d5b0196e103e82c625277143e127bd472b68dc557a8bb0041"),
+    "measure-route-subset-sum-even": (
+        ("measure", "--state", "{even}", "--route", "subset-sum"), 0,
+        "55fb0ee33e0187afd861bd55281d58a6d41c70249ca4fdd76d214980f17d11b9"),
+    "measure-route-projector-even": (
+        ("measure", "--state", "{even}", "--route", "projector"), 0,
+        "a846c8546ea3fadb0723998447b075714540cde23050386c62e75983f7eaeec5"),
+    "measure-route-oracle-even": (
+        ("measure", "--state", "{even}", "--route", "oracle"), 0,
+        "88f49534c77b1bd88ce4305b80b1206065b86dfeeb9844f317ca7829038833af"),
+    "measure-route-partitions-qudits": (
+        ("measure", "--state", "{qudits}", "--route", "partitions"), 0,
+        "0fa4faccad1fbb91c831036528281a2e90d4d473b627b6526c34f144de23388b"),
+    "measure-route-subset-sum-qudits": (
+        ("measure", "--state", "{qudits}", "--route", "subset-sum"), 0,
+        "6ecc09aa7bfbf1f8266bcee31fd6ba15683ef364699e0014a78765185b987698"),
+    "measure-route-projector-qudits": (
+        ("measure", "--state", "{qudits}", "--route", "projector"), 0,
+        "8549ec0c736c68c01342247ec6022a11a469dce2c092f3b0425cd07eddcef9dd"),
+    "measure-route-oracle-qudits": (
+        ("measure", "--state", "{qudits}", "--route", "oracle"), 0,
+        "a0c7b9fe0e3d3e0b15670dc922a9a9cd7e1154c827edb12e6cbe47ccc5079284"),
+    "measure-route-projector-odd": (
+        ("measure", "--state", "{odd}", "--route", "projector"), 0,
+        "bcbd0d61b2dcaec7fa6e57679110a8eb1bf49cd5380047f93ee4b93507465c55"),
+    "measure-route-partitions-odd": (
+        ("measure", "--state", "{odd}", "--route", "partitions"), 2,
+        "3f30e16c5681661736b6be3a3ba1ac9b79f99eb3990f45e07545ac0031603175"),
     "monogamy": (
         ("monogamy", "--state", "{even}"), 0,
         "1074844866287c1f5398492819c2f622bc430822410b3e33297b13eb51ca11a0"),
