@@ -33,17 +33,14 @@ from .hilbert import (
     validate_density,
 )
 from .measures import (
-    Bipartition,
     MeasureReport,
     entanglement_E_partitions,
     entanglement_E_projector,
     entanglement_E_subset_sum,
-    enumerate_partitions,
     i_concurrence_sq,
     linear_entropy,
     marginal_purity,
     measure_all,
-    mixedness,
     mutual_information,
     purity_table,
     subset_purities,
@@ -77,7 +74,6 @@ from .states import (
 )
 
 __all__ = [
-    "Bipartition",
     "CompatReport",
     "DensityDiagnostics",
     "DisorderReport",
@@ -98,7 +94,6 @@ __all__ = [
     "entanglement_E_partitions",
     "entanglement_E_projector",
     "entanglement_E_subset_sum",
-    "enumerate_partitions",
     "exhaustive_E",
     "expectation_mixed",
     "expectation_pure",
@@ -107,7 +102,6 @@ __all__ = [
     "linear_entropy",
     "marginal_purity",
     "measure_all",
-    "mixedness",
     "mutual_information",
     "naive_expectation",
     "naive_partial_trace",

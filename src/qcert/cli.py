@@ -1,7 +1,8 @@
 """Command-line interface and the JSON file formats it speaks.
 
 State files carry {"dims", "kind", "vector"|"matrix"}; marginal files carry
-{"dims", "marginals": [{"parties", "matrix"}, ...], "global_purity"?}.
+{"dims", "marginals": [{"parties", "matrix"}, ...], "global_purity"?}. Any
+other key is an input error.
 Complex numbers serialize as two-element [re, im] arrays, and every number is
 printed with 17 significant digits, a negative zero as -0.0, so doubles
 round-trip losslessly. Every report carries a schema_version and the
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -41,16 +43,7 @@ from .compatibility import (
 )
 from .config import TOL_INPUT, TOL_ROUTE, TOL_VERDICT
 from .hilbert import Operator, PureState, SpaceShape, SubsetMask, validate_density
-from .measures import (
-    _e_partitions,
-    _e_subset_sum,
-    _proper_purities,
-    _require_even,
-    _route_deltas,
-    entanglement_E_projector,
-    measure_all,
-    purity_table,
-)
+from .measures import ROUTES, measure_all
 from .monogamy import corollary1_scan, disorder_check
 from .oracle import EXHAUSTIVE_MAX_PARTIES, exhaustive_E
 from .states import random_mixed, random_pure
@@ -202,6 +195,16 @@ def _parse_pairs(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
     return flat.view(complex).reshape(shape)
 
 
+def _check_keys(data: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Reject keys outside ``allowed``, so no part of an input file goes unread."""
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise ValueError(
+            f"{where}: unknown keys {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(map(repr, allowed))}"
+        )
+
+
 def _parse_dims(data: dict, where: str) -> SpaceShape:
     dims = data.get("dims")
     if (
@@ -233,9 +236,11 @@ def parse_state_dict(data) -> PureState | Operator:
     shape = _parse_dims(data, "state file")
     kind = data.get("kind")
     if kind == "pure":
+        _check_keys(data, ("dims", "kind", "vector"), "state file")
         amp = _parse_pairs(data.get("vector"), (shape.total_dim,), "state file")
         return PureState(shape, amp)
     if kind == "mixed":
+        _check_keys(data, ("dims", "kind", "matrix"), "state file")
         side = shape.total_dim
         mat = _parse_pairs(data.get("matrix"), (side, side), "state file")
         op = Operator(shape, mat)
@@ -278,6 +283,7 @@ def marginal_file_dict(
 def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
     if not isinstance(data, dict):
         raise ValueError("marginal file: top level must be a JSON object")
+    _check_keys(data, ("dims", "marginals", "global_purity"), "marginal file")
     shape = _parse_dims(data, "marginal file")
     raw = data.get("marginals")
     if not isinstance(raw, list) or not raw:
@@ -287,6 +293,7 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         where = f"marginal file entry {i}"
         if not isinstance(item, dict):
             raise ValueError(f"{where}: must be an object")
+        _check_keys(item, ("parties", "matrix"), where)
         parties = item.get("parties")
         if (
             not isinstance(parties, list)
@@ -368,64 +375,45 @@ def cmd_measure(args) -> int:
     state = load_state_file(args.state)
     if not isinstance(state, PureState):
         raise ValueError("the measure is defined for pure states; got kind 'mixed'")
+    rep = measure_all(state, args.route)
     n = state.shape.n_parties
-    values: dict[str, float | None] = {
-        "partitions": None,
-        "projector": None,
-        "subset_sum": None,
-        "oracle": None,
-    }
-    purities = None
-    if args.route == "all":
-        rep = measure_all(state)
-        values["projector"] = rep.value_projector
-        values["partitions"] = rep.value_partitions
-        values["subset_sum"] = rep.value_subset_sum
-        purities = rep.per_subset_purities
-        if n % 2 == 0 and n <= EXHAUSTIVE_MAX_PARTIES:
-            values["oracle"] = exhaustive_E(state)
-    elif args.route in ("partitions", "subset-sum"):
-        _require_even(n)
-        table = purity_table(state)
-        if args.route == "partitions":
-            values["partitions"] = _e_partitions(table)
-        else:
-            values["subset_sum"] = _e_subset_sum(table)
-        purities = _proper_purities(table)
-    elif args.route == "projector":
-        values["projector"] = entanglement_E_projector(state)
-    else:
-        values["oracle"] = exhaustive_E(state)
-    deltas = _route_deltas(values)
-    max_delta = max(deltas.values(), default=None)
+    if args.route == "oracle" or (
+        args.route == "all" and n % 2 == 0 and n <= EXHAUSTIVE_MAX_PARTIES
+    ):
+        rep = replace(rep, values={**rep.values, "oracle": exhaustive_E(state)})
+    max_delta = rep.max_route_delta()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "measure_report",
-        "dims": list(state.shape.dims),
+        "dims": list(rep.dims),
         "route": args.route,
-        "values": values,
-        "route_deltas": deltas,
+        "values": rep.values,
+        "route_deltas": rep.route_deltas(),
         "max_route_delta": max_delta,
         "routes_agree": None if max_delta is None else max_delta <= TOL_ROUTE,
-        "per_subset_purities": _purity_items(purities),
+        "per_subset_purities": _purity_items(rep.per_subset_purities),
         "tolerances": {"route_agreement": TOL_ROUTE, "input": TOL_INPUT},
     }
     print(dumps(doc))
     return EXIT_OK
 
 
+def _certify(
+    marginals: MarginalSet, pure: bool, global_purity: float | None
+) -> tuple[dict, int]:
+    """The ``compat_report`` document of the theorem 1 (pure) or 2 check, and its exit code."""
+    rep = theorem1_check(marginals) if pure else theorem2_check(marginals, global_purity)
+    return compat_report_dict(rep, consistency_precheck(marginals)), _VERDICT_EXIT[rep.verdict]
+
+
 def cmd_compat(args) -> int:
     if args.pure and args.global_purity is not None:
         raise ValueError("--pure and --global-purity are mutually exclusive")
     marginals, file_purity = load_marginal_file(args.marginals)
-    if args.pure:
-        rep = theorem1_check(marginals)
-    else:
-        g = args.global_purity if args.global_purity is not None else file_purity
-        rep = theorem2_check(marginals, g)
-    violations = consistency_precheck(marginals)
-    print(dumps(compat_report_dict(rep, violations)))
-    return _VERDICT_EXIT[rep.verdict]
+    g = args.global_purity if args.global_purity is not None else file_purity
+    doc, code = _certify(marginals, args.pure, g)
+    print(dumps(doc))
+    return code
 
 
 def cmd_monogamy(args) -> int:
@@ -523,20 +511,26 @@ def eq8_marginal_file() -> dict:
 def cmd_demo(args) -> int:
     file_dict = eq8_marginal_file()
     marginals, global_purity = parse_marginal_dict(json.loads(dumps(file_dict)))
-    rep = theorem2_check(marginals, global_purity)
-    violations = consistency_precheck(marginals)
+    certificate, code = _certify(marginals, pure=False, global_purity=global_purity)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "demo_eq8",
         "marginal_file": file_dict,
-        "certificate": compat_report_dict(rep, violations),
+        "certificate": certificate,
     }
     print(dumps(doc))
-    return _VERDICT_EXIT[rep.verdict]
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, printed as ``error`` JSON."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcert",
         description=(
             "Multipartite entanglement measure and marginal-compatibility "
@@ -549,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="path to a pure state file")
     p.add_argument(
         "--route",
-        choices=["partitions", "projector", "subset-sum", "all", "oracle"],
+        choices=ROUTES,
         default="all",
     )
     p.set_defaults(func=cmd_measure)
@@ -583,9 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
+def _run(argv) -> int:
     """The command's exit code; an input error is printed as an ``error`` document."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         raise
@@ -595,9 +590,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(argv)
         if sys.stdout is not None:  # None when the process started with stdout closed
             sys.stdout.flush()
         return code

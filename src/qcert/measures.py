@@ -24,6 +24,7 @@ from .hilbert import (
 from .observables import _doubled_fits, expectation_pure
 
 ODD_N_ERROR = "partition classes undefined for odd N"
+ROUTES = ("partitions", "projector", "subset-sum", "all", "oracle")
 
 
 def _require_even(n: int) -> None:
@@ -36,11 +37,6 @@ def linear_entropy(rho: Operator) -> float:
     return 1.0 - purity(rho)
 
 
-def mixedness(rho: Operator) -> float:
-    """Disorder of a state; identical to ``linear_entropy``, kept as a named alias."""
-    return linear_entropy(rho)
-
-
 def mutual_information(rho_ab: Operator, split: SubsetMask) -> float:
     """Linear-entropy mutual information S_A + S_B - S_AB for a bipartition."""
     _check_mask(rho_ab.shape, split)
@@ -49,46 +45,6 @@ def mutual_information(rho_ab: Operator, split: SubsetMask) -> float:
     s_a = linear_entropy(partial_trace(rho_ab, split))
     s_b = linear_entropy(partial_trace(rho_ab, split.complement()))
     return s_a + s_b - linear_entropy(rho_ab)
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """An unordered bipartition, canonically keyed by the block holding party 0."""
-
-    a: SubsetMask
-
-    def __post_init__(self) -> None:
-        if self.a.is_empty or self.a.is_full:
-            raise ValueError("a bipartition block must be a nonempty proper subset")
-        if not self.a.contains(0):
-            raise ValueError("canonical bipartition block must contain party 0")
-
-    @classmethod
-    def from_mask(cls, mask: SubsetMask) -> Bipartition:
-        return cls(mask if mask.contains(0) else mask.complement())
-
-    @property
-    def b(self) -> SubsetMask:
-        return self.a.complement()
-
-    @property
-    def partition_class(self) -> str:
-        """'P_I' when both blocks are odd, 'P_II' when both are even."""
-        _require_even(self.a.n_parties)
-        return "P_I" if self.a.is_odd else "P_II"
-
-
-def enumerate_partitions(n: int) -> list[Bipartition]:
-    """All 2^(n-1) - 1 unordered bipartitions of an even party count, classified."""
-    if n < 2:
-        raise ValueError("need at least 2 parties")
-    _require_even(n)
-    full = (1 << n) - 1
-    return [
-        Bipartition(SubsetMask(bits, n))
-        for bits in range(1, full)
-        if bits & 1
-    ]
 
 
 def marginal_purity(psi: PureState, subset: SubsetMask) -> float:
@@ -208,52 +164,55 @@ def i_concurrence_sq(psi: PureState, subset: SubsetMask) -> float:
     return 2.0 * (1.0 - marginal_purity(psi, subset))
 
 
-def _route_deltas(values: dict[str, float | None]) -> dict[str, float]:
-    """|a - b| for every pair of routes with a value, keyed "a_vs_b" in name order."""
-    names = sorted(k for k, v in values.items() if v is not None)
-    return {
-        f"{a}_vs_{b}": abs(values[a] - values[b])
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    }
-
-
 @dataclass(frozen=True)
 class MeasureReport:
-    """Values of E from every applicable route plus the purities they used."""
+    """Values of E by route, keyed in the order they print, plus the purities used.
+
+    ``values`` has the keys ``partitions``, ``projector``, ``subset_sum`` and
+    ``oracle``, each None when its route did not run. ``per_subset_purities``
+    is None when no route read the purity table.
+    """
 
     dims: tuple[int, ...]
-    value_projector: float | None
-    value_partitions: float | None
-    value_subset_sum: float | None
-    per_subset_purities: dict[SubsetMask, float]
+    values: dict[str, float | None]
+    per_subset_purities: dict[SubsetMask, float] | None
 
-    def route_values(self) -> dict[str, float]:
-        values = {
-            "projector": self.value_projector,
-            "partitions": self.value_partitions,
-            "subset_sum": self.value_subset_sum,
+    def route_deltas(self) -> dict[str, float]:
+        """|a - b| for every pair of routes with a value, keyed "a_vs_b" in name order."""
+        names = sorted(k for k, v in self.values.items() if v is not None)
+        return {
+            f"{a}_vs_{b}": abs(self.values[a] - self.values[b])
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
         }
-        return {k: v for k, v in values.items() if v is not None}
 
     def max_route_delta(self) -> float | None:
-        return max(_route_deltas(self.route_values()).values(), default=None)
+        return max(self.route_deltas().values(), default=None)
 
 
-def measure_all(psi: PureState) -> MeasureReport:
-    """Evaluate every applicable route; partition forms are omitted for odd N.
+def measure_all(psi: PureState, route: str = "all") -> MeasureReport:
+    """E by one route of ``ROUTES``, or by every applicable one for "all".
 
-    The projector route is omitted when its doubled vector, D^2 entries, exceeds
-    the state cap (above 10 qubits).
+    "all" omits the partition forms for odd N, and the projector route when its
+    doubled vector, D^2 entries, exceeds the state cap (above 10 qubits); the
+    single "partitions" and "subset-sum" routes reject odd N. The oracle value
+    is left None for the caller: ``qcert.oracle`` imports this module, so its
+    audit route stays apart from the routes here.
     """
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected one of {', '.join(ROUTES)}")
     n = psi.shape.n_parties
-    table = purity_table(psi)
-    purities = _proper_purities(table)
-    projector = entanglement_E_projector(psi) if _doubled_fits(psi.shape) else None
-    if n % 2 == 0:
-        partitions = _e_partitions(table)
-        subset_sum = _e_subset_sum(table)
-    else:
-        partitions = None
-        subset_sum = None
-    return MeasureReport(psi.shape.dims, projector, partitions, subset_sum, purities)
+    values = dict.fromkeys(("partitions", "projector", "subset_sum", "oracle"))
+    purities = None
+    if route in ("all", "partitions", "subset-sum"):
+        if route != "all":
+            _require_even(n)
+        table = purity_table(psi)
+        purities = _proper_purities(table)
+        if n % 2 == 0 and route != "subset-sum":
+            values["partitions"] = _e_partitions(table)
+        if n % 2 == 0 and route != "partitions":
+            values["subset_sum"] = _e_subset_sum(table)
+    if route == "projector" or (route == "all" and _doubled_fits(psi.shape)):
+        values["projector"] = entanglement_E_projector(psi)
+    return MeasureReport(psi.shape.dims, values, purities)

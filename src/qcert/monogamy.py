@@ -3,7 +3,7 @@
 Both families are rearrangements of the even-N compatibility condition: the
 monogamy sums range over subsets A of a chosen even-size index set, with each
 concurrence cut against the full complement of A, and the disorder relation
-compares even-subset against odd-subset mixedness sums.
+compares even-subset against odd-subset linear-entropy sums.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def corollary1_scan(psi: PureState) -> list[MonogamyReport]:
 
 @dataclass(frozen=True)
 class DisorderReport:
-    """Even-subset versus odd-subset mixedness sums for an even party count."""
+    """Even-subset versus odd-subset linear-entropy sums for an even party count."""
 
     lhs: float
     rhs: float

@@ -373,6 +373,74 @@ def error_message(code, out):
     return doc["message"]
 
 
+class TestUnknownKeys:
+    """A misspelt key is an input error, not a silently ignored field."""
+
+    def test_state_file(self, tmp_path, capsys):
+        for state in (ghz_state(2), Operator(SpaceShape((2,)), np.eye(2) / 2)):
+            doc = json.loads(dumps(state_file_dict(state)))
+            doc["comment"] = "x"
+            path = write_json(tmp_path, "s.json", json.dumps(doc))
+            message = error_message(*run_cli(capsys, "disorder", "--state", path))
+            assert message.startswith("state file: unknown keys 'comment'; allowed: 'dims'")
+        doc = json.loads(dumps(state_file_dict(ghz_state(2))))
+        doc["matrix"] = []
+        path = write_json(tmp_path, "s.json", json.dumps(doc))
+        message = error_message(*run_cli(capsys, "measure", "--state", path))
+        assert message == (
+            "state file: unknown keys 'matrix'; allowed: 'dims', 'kind', 'vector'"
+        )
+
+    def test_marginal_file_top_level(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = json.loads(dumps(doc))
+        doc["global_purty"] = 0.1
+        path = write_json(tmp_path, "m.json", json.dumps(doc))
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path))
+        assert message == (
+            "marginal file: unknown keys 'global_purty'; "
+            "allowed: 'dims', 'marginals', 'global_purity'"
+        )
+
+    def test_marginal_entry(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = json.loads(dumps(doc))
+        doc["marginals"][1]["purity"] = 0.5
+        doc["marginals"][1]["label"] = "B"
+        path = write_json(tmp_path, "m.json", json.dumps(doc))
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path, "--pure"))
+        assert message == (
+            "marginal file entry 1: unknown keys 'purity', 'label'; allowed: 'parties', 'matrix'"
+        )
+
+
+class TestUsageErrors:
+    """Argument errors print the ``error`` document on stdout, as input errors do."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["measure"], "qcert measure: the following arguments are required: --state"),
+            (["sample", "--seed", "abc"], "qcert sample: argument --seed: invalid int value: 'abc'"),
+            ([], "qcert: the following arguments are required: command"),
+        ],
+        ids=["missing-argument", "bad-int", "missing-command"],
+    )
+    def test_exits_2_with_error_json(self, capsys, argv, message):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert error_message(code, out) == message
+        assert err == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["measure", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qcert measure")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_pure_vector_rejected(self, tmp_path, capsys, token):

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import bell_state, random_unitary
 from qcert import (
-    Bipartition,
     Operator,
     SpaceShape,
     SubsetMask,
@@ -15,12 +14,10 @@ from qcert import (
     entanglement_E_partitions,
     entanglement_E_projector,
     entanglement_E_subset_sum,
-    enumerate_partitions,
     ghz_state,
     i_concurrence_sq,
     linear_entropy,
     measure_all,
-    mixedness,
     mutual_information,
     permute_parties,
     product_state,
@@ -49,12 +46,11 @@ class TestEntropies:
     def test_known_diagonal(self):
         rho = Operator(SpaceShape((2,)), np.diag([2 / 3, 1 / 3]))
         assert abs(linear_entropy(rho) - 4 / 9) < 1e-15
-        assert mixedness(rho) == linear_entropy(rho)
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_maximally_mixed_maximizes_mixedness(self, d):
         rho = Operator(SpaceShape((d,)), np.eye(d) / d)
-        assert abs(mixedness(rho) - (1 - 1 / d)) < 1e-15
+        assert abs(linear_entropy(rho) - (1 - 1 / d)) < 1e-15
 
 
 class TestMutualInformation:
@@ -76,35 +72,6 @@ class TestMutualInformation:
             mutual_information(rho, SubsetMask(0, 2))
         with pytest.raises(ValueError):
             mutual_information(rho, SubsetMask(3, 2))
-
-
-class TestPartitionEnumeration:
-    def test_two_parties(self):
-        parts = enumerate_partitions(2)
-        assert len(parts) == 1
-        assert parts[0].a.parties == (0,)
-        assert parts[0].partition_class == "P_I"
-
-    @pytest.mark.parametrize(
-        "n,total,n_odd,n_even", [(4, 7, 4, 3), (6, 31, 16, 15)]
-    )
-    def test_counts(self, n, total, n_odd, n_even):
-        parts = enumerate_partitions(n)
-        assert len(parts) == total
-        classes = [p.partition_class for p in parts]
-        assert classes.count("P_I") == n_odd
-        assert classes.count("P_II") == n_even
-
-    def test_canonical_block_contains_party_zero(self):
-        assert all(p.a.contains(0) for p in enumerate_partitions(4))
-
-    def test_odd_party_count_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            enumerate_partitions(3)
-
-    def test_from_mask_canonicalizes(self):
-        part = Bipartition.from_mask(mask([1, 3], 4))
-        assert part.a.parties == (0, 2)
 
 
 class TestMeasureRoutes:
@@ -192,20 +159,42 @@ class TestIConcurrence:
 class TestMeasureAll:
     def test_even_report_carries_all_routes(self):
         rep = measure_all(ghz_state(4))
-        assert rep.value_partitions is not None
-        assert rep.value_subset_sum is not None
+        assert rep.values["partitions"] is not None
+        assert rep.values["subset_sum"] is not None
         assert rep.max_route_delta() < 1e-10
         assert len(rep.per_subset_purities) == 14
 
     def test_projector_skipped_above_the_doubled_cap(self):
         rep = measure_all(random_pure(SpaceShape((2,) * 12), 5))
-        assert rep.value_projector is None
-        assert list(rep.route_values()) == ["partitions", "subset_sum"]
-        assert rep.max_route_delta() == abs(rep.value_partitions - rep.value_subset_sum)
+        assert rep.values["projector"] is None
+        assert [k for k, v in rep.values.items() if v is not None] == ["partitions", "subset_sum"]
+        assert rep.max_route_delta() == abs(rep.values["partitions"] - rep.values["subset_sum"])
 
     def test_odd_report_has_projector_only(self):
         rep = measure_all(random_pure(SpaceShape((2, 2, 2)), 3))
-        assert rep.value_partitions is None
-        assert rep.value_subset_sum is None
+        assert rep.values["partitions"] is None
+        assert rep.values["subset_sum"] is None
         assert rep.max_route_delta() is None
-        assert abs(rep.value_projector) < 1e-12
+        assert abs(rep.values["projector"]) < 1e-12
+
+    @pytest.mark.parametrize(
+        "route,filled,table",
+        [
+            ("partitions", ["partitions"], True),
+            ("subset-sum", ["subset_sum"], True),
+            ("projector", ["projector"], False),
+            ("oracle", [], False),
+        ],
+    )
+    def test_single_route_fills_only_its_value(self, route, filled, table):
+        psi = random_pure(SpaceShape((2, 2, 2, 2)), 6)
+        rep = measure_all(psi, route)
+        assert list(rep.values) == ["partitions", "projector", "subset_sum", "oracle"]
+        assert [k for k, v in rep.values.items() if v is not None] == filled
+        assert (rep.per_subset_purities is not None) == table
+        assert rep.route_deltas() == {}
+        assert rep.max_route_delta() is None
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="unknown route 'exhaustive'"):
+            measure_all(ghz_state(4), "exhaustive")

@@ -6,7 +6,8 @@ ran before every subset quantity read one table, the certificate's own
 signed loop, and the swap contraction ``expectation_pure`` ran before it
 became the one-eigenpair case of the mixed route. The table and the two
 ordered reductions over it must give the same floats bit for bit, since
-they keep the accumulation order.
+they keep the accumulation order. The partition reference walks its own
+enumerator of the bipartitions, so it shares no code with the package.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +32,8 @@ from qcert import (
     disorder_check,
     entanglement_E_partitions,
     entanglement_E_subset_sum,
-    enumerate_partitions,
     exhaustive_E,
+    ghz_state,
     i_concurrence_sq,
     marginal_purity,
     measure_all,
@@ -63,17 +65,34 @@ def ref_subset_purities(psi: PureState) -> dict[SubsetMask, float]:
     }
 
 
+def ref_bipartitions(n: int) -> list[tuple[SubsetMask, str]]:
+    """Every unordered bipartition of an even party count as (block holding party 0, class).
+
+    The class is "P_I" when both blocks are odd and "P_II" when both are even.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 parties")
+    if n % 2 == 1:
+        raise ValueError("partition classes undefined for odd N")
+    parts = []
+    for bits in range(1, (1 << n) - 1):
+        if bits & 1:
+            block = SubsetMask(bits, n)
+            parts.append((block, "P_I" if block.is_odd else "P_II"))
+    return parts
+
+
 def ref_E_partitions(psi: PureState) -> float:
     n = psi.shape.n_parties
     s_global = 1.0 - marginal_purity(psi, psi.shape.full_mask())
     total = 0.0
-    for part in enumerate_partitions(n):
+    for block, partition_class in ref_bipartitions(n):
         s = (
-            (1.0 - marginal_purity(psi, part.a))
-            + (1.0 - marginal_purity(psi, part.b))
+            (1.0 - marginal_purity(psi, block))
+            + (1.0 - marginal_purity(psi, block.complement()))
             - s_global
         )
-        total += s if part.partition_class == "P_I" else -s
+        total += s if partition_class == "P_I" else -s
     return total
 
 
@@ -164,6 +183,37 @@ def mapped_mask(bits: int, new_from_old) -> int:
     return sum(1 << k for k, old in enumerate(new_from_old) if bits >> old & 1)
 
 
+# --- the reference enumerator ------------------------------------------------
+
+class TestPartitionEnumeration:
+    def test_two_parties(self):
+        parts = ref_bipartitions(2)
+        assert len(parts) == 1
+        assert parts[0][0].parties == (0,)
+        assert parts[0][1] == "P_I"
+
+    @pytest.mark.parametrize(
+        "n,total,n_odd,n_even", [(4, 7, 4, 3), (6, 31, 16, 15)]
+    )
+    def test_counts(self, n, total, n_odd, n_even):
+        parts = ref_bipartitions(n)
+        assert len(parts) == total
+        classes = [partition_class for _, partition_class in parts]
+        assert classes.count("P_I") == n_odd
+        assert classes.count("P_II") == n_even
+        # Every GHZ bipartition has mutual information 1, so E counts P_I minus P_II.
+        assert abs(entanglement_E_partitions(ghz_state(n)) - (n_odd - n_even)) < 1e-10
+
+    def test_canonical_block_contains_party_zero(self):
+        assert all(block.contains(0) for block, _ in ref_bipartitions(4))
+
+    def test_odd_party_count_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            ref_bipartitions(3)
+        with pytest.raises(ValueError, match="odd"):
+            entanglement_E_partitions(ghz_state(3))
+
+
 # --- the table itself ----------------------------------------------------------
 
 class TestTable:
@@ -230,8 +280,8 @@ class TestBitEqualToOldLoops:
         assert entanglement_E_partitions(psi) == ref_partitions
         assert entanglement_E_subset_sum(psi) == ref_subset_sum
         rep = measure_all(psi)
-        assert rep.value_partitions == ref_partitions
-        assert rep.value_subset_sum == ref_subset_sum
+        assert rep.values["partitions"] == ref_partitions
+        assert rep.values["subset_sum"] == ref_subset_sum
         assert rep.per_subset_purities == ref_subset_purities(psi)
 
     @SETTINGS
@@ -310,5 +360,5 @@ class TestAgainstOracle:
         psi = random_pure(shape, seed)
         e = exhaustive_E(psi)
         rep = measure_all(psi)
-        assert abs(rep.value_partitions - e) <= 1e-10
-        assert abs(rep.value_subset_sum - e) <= 1e-10
+        assert abs(rep.values["partitions"] - e) <= 1e-10
+        assert abs(rep.values["subset_sum"] - e) <= 1e-10
