@@ -45,7 +45,7 @@ from .config import TOL_INPUT, TOL_ROUTE, TOL_VERDICT
 from .hilbert import Operator, PureState, SpaceShape, SubsetMask, validate_density
 from .measures import ROUTES, measure_all
 from .monogamy import corollary1_scan, disorder_check
-from .oracle import EXHAUSTIVE_MAX_PARTIES, exhaustive_E
+from .oracle import exhaustive_E, exhaustive_fits
 from .states import random_mixed, random_pure
 
 SCHEMA_VERSION = "1"
@@ -72,41 +72,42 @@ def _format_number(x: float) -> str:
     return "-0.0" if text == "-0" else text  # "-0" would decode as the integer 0
 
 
-def _emit_scalar(x) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return _format_number(x)
-    if isinstance(x, str):
-        return json.dumps(x)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+def _block(brackets: str, items: list[str], level: int) -> str:
+    """``items`` between ``brackets``, one per line two spaces deeper than ``level``.
 
-
-def _is_scalar(x) -> bool:
-    return x is None or isinstance(x, (bool, int, float, str))
-
-
-def _types(items) -> set[type]:
-    return set(map(type, items))
+    One join copies each item once; an array's text can be most of a large file.
+    """
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    heads = [brackets[0] + pad] + ["," + pad] * (len(items) - 1)
+    return "".join([*chain.from_iterable(zip(heads, items)), "\n" + "  " * level + brackets[1]])
 
 
 def _pair_layout(shape: tuple[int, ...], level: int) -> str:
     """The text of nested [re, im] pairs of ``shape`` at ``level``, "%.17g" per number."""
     if not shape:
         return "[%.17g, %.17g]"
-    row = "  " * (level + 1) + _pair_layout(shape[1:], level + 1)
-    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + "  " * level + "]"
+    return _block("[]", [_pair_layout(shape[1:], level + 1)] * shape[0], level)
 
 
-def _emit(obj, level: int, out: list[str]) -> None:
-    pad = "  " * level
-    if _is_scalar(obj):
-        out.append(_emit_scalar(obj))
-        return
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise TypeError("JSON object keys must be strings")
+    return json.dumps(k) + ": "
+
+
+def _dumps(obj, level: int) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_number(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
     if isinstance(obj, np.ndarray) and obj.dtype == complex:
         # "%.17g" runs the formatter of format(x, ".17g"), so the bytes match the
         # list path; one % fills every number.
@@ -117,47 +118,27 @@ def _emit(obj, level: int, out: list[str]) -> None:
         if np.signbit(flat[flat == 0]).any():
             # "%.17g" prints a negative zero as "-0", always a whole pair part.
             text = text.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
-        out.append(text)
-        return
+        return text
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        if all(_is_scalar(v) for v in items):
-            out.append("[" + ", ".join(_emit_scalar(v) for v in items) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append("  " * (level + 1))
-            _emit(v, level + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
-        return
+        items = [_dumps(v, level + 1) for v in obj]
+        # A list of scalars stays on one line; only a container's text opens with a bracket.
+        if any(text[0] in "[{" for text in items):
+            return _block("[]", items, level)
+        return "[" + ", ".join(items) + "]"
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        pairs = list(obj.items())
-        out.append("{\n")
-        for i, (k, v) in enumerate(pairs):
-            if not isinstance(k, str):
-                raise TypeError("JSON object keys must be strings")
-            out.append("  " * (level + 1) + json.dumps(k) + ": ")
-            _emit(v, level + 1, out)
-            out.append(",\n" if i < len(pairs) - 1 else "\n")
-        out.append(pad + "}")
-        return
+        return _block("{}", [_key(k) + _dumps(v, level + 1) for k, v in obj.items()], level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    out: list[str] = []
-    _emit(obj, 0, out)
-    return "".join(out)
+    return _dumps(obj, 0)
 
 
 # --- state and marginal file formats ---
+
+def _types(items) -> set[type]:
+    return set(map(type, items))
+
 
 def _all_of(items, kinds) -> bool:
     """True when every item is an instance of ``kinds``; one check per distinct type."""
@@ -244,7 +225,7 @@ def parse_state_dict(data) -> PureState | Operator:
         side = shape.total_dim
         mat = _parse_pairs(data.get("matrix"), (side, side), "state file")
         op = Operator(shape, mat)
-        diag = validate_density(op, TOL_INPUT)
+        diag = validate_density(op)
         if not diag.passes:
             raise ValueError(f"state file: not a density matrix: {diag.describe()}")
         return op
@@ -352,7 +333,7 @@ def compat_report_dict(rep: CompatReport, violations) -> dict:
         "verdict": rep.verdict,
         "lhs": rep.lhs,
         "lhs_proper": rep.lhs_proper,
-        "bound": rep.bound,
+        "bound": 1.0,
         "slack": rep.slack,
         "assumed_global_purity": rep.assumed_global_purity,
         "per_subset_purities": _purity_items(rep.per_subset_purities),
@@ -365,7 +346,7 @@ def compat_report_dict(rep: CompatReport, violations) -> dict:
             }
             for v in violations
         ],
-        "tolerances": {"verdict": rep.tol_verdict, "input": TOL_INPUT},
+        "tolerances": {"verdict": TOL_VERDICT, "input": TOL_INPUT},
     }
 
 
@@ -376,10 +357,7 @@ def cmd_measure(args) -> int:
     if not isinstance(state, PureState):
         raise ValueError("the measure is defined for pure states; got kind 'mixed'")
     rep = measure_all(state, args.route)
-    n = state.shape.n_parties
-    if args.route == "oracle" or (
-        args.route == "all" and n % 2 == 0 and n <= EXHAUSTIVE_MAX_PARTIES
-    ):
+    if args.route == "oracle" or (args.route == "all" and exhaustive_fits(state.shape)):
         rep = replace(rep, values={**rep.values, "oracle": exhaustive_E(state)})
     max_delta = rep.max_route_delta()
     doc = {

@@ -64,7 +64,7 @@ class MarginalSet:
                     f"marginal on parties {mask.parties} has dims {op.shape.dims}, "
                     f"expected {sub.dims}"
                 )
-            diag = validate_density(op, TOL_INPUT)
+            diag = validate_density(op)
             if not diag.passes:
                 raise ValueError(
                     f"marginal on parties {mask.parties} is not a density matrix: "
@@ -94,13 +94,11 @@ class CompatReport:
     dims: tuple[int, ...]
     lhs: float | None
     lhs_proper: float | None
-    bound: float
     slack: float | None
     verdict: str
     per_subset_purities: dict[SubsetMask, float]
     missing_subsets: tuple[SubsetMask, ...]
     assumed_global_purity: float | str
-    tol_verdict: float = TOL_VERDICT
 
 
 def checked_global_purity(marginals: MarginalSet, g, subject: str) -> float:
@@ -154,7 +152,6 @@ def _certificate(
         marginals.shape.dims,
         lhs,
         lhs_proper,
-        1.0,
         slack,
         verdict,
         purities,

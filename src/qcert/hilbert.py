@@ -199,30 +199,29 @@ def purity(rho: Operator) -> float:
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
-    """Deviations of a matrix from being a density matrix."""
+    """Deviations of a matrix from being a density matrix; each must be within TOL_INPUT."""
 
     hermiticity_deviation: float
     trace_deviation: float
     min_eigenvalue: float
-    tol: float
 
     @property
     def passes(self) -> bool:
         return (
-            self.hermiticity_deviation <= self.tol
-            and self.trace_deviation <= self.tol
-            and self.min_eigenvalue >= -self.tol
+            self.hermiticity_deviation <= TOL_INPUT
+            and self.trace_deviation <= TOL_INPUT
+            and self.min_eigenvalue >= -TOL_INPUT
         )
 
     def describe(self) -> str:
         return (
             f"hermiticity deviation {self.hermiticity_deviation:.3g}, "
             f"trace deviation {self.trace_deviation:.3g}, "
-            f"min eigenvalue {self.min_eigenvalue:.3g} (tol {self.tol:.1g})"
+            f"min eigenvalue {self.min_eigenvalue:.3g} (tol {TOL_INPUT:.1g})"
         )
 
 
-def validate_density(rho: Operator, tol: float = TOL_INPUT) -> DensityDiagnostics:
+def validate_density(rho: Operator) -> DensityDiagnostics:
     """Report Hermiticity, trace and positivity deviations of ``rho``.
 
     The positivity check uses a full eigenvalue decomposition of the
@@ -233,7 +232,7 @@ def validate_density(rho: Operator, tol: float = TOL_INPUT) -> DensityDiagnostic
     trace_dev = float(abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag))
     herm_part = (m + m.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(herm_part)[0])
-    return DensityDiagnostics(herm_dev, trace_dev, min_eig, tol)
+    return DensityDiagnostics(herm_dev, trace_dev, min_eig)
 
 
 def _permute_matrix_factors(matrix: np.ndarray, dims, new_from_old) -> np.ndarray:

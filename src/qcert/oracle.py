@@ -22,6 +22,7 @@ from .observables import observable
 NAIVE_TRACE_MAX_DIM = 64
 NAIVE_EXPECTATION_MAX_DIM = 256
 EXHAUSTIVE_MAX_PARTIES = 8
+EXHAUSTIVE_MAX_DIM = 256
 
 
 def _flat_index(multi, dims) -> int:
@@ -97,13 +98,26 @@ def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
     return float(np.trace(a.entries @ state_pair.entries).real)
 
 
+def exhaustive_fits(shape: SpaceShape) -> bool:
+    """True when ``exhaustive_E`` accepts ``shape``.
+
+    That is an even N up to EXHAUSTIVE_MAX_PARTIES and D up to EXHAUSTIVE_MAX_DIM;
+    the dimension cap bounds the D x D density it forms and its Python loops.
+    """
+    n = shape.n_parties
+    return n % 2 == 0 and n <= EXHAUSTIVE_MAX_PARTIES and shape.total_dim <= EXHAUSTIVE_MAX_DIM
+
+
 def exhaustive_E(psi: PureState) -> float:
     """The measure by literal bipartition enumeration from scratch marginals."""
     n = psi.shape.n_parties
     if n % 2 == 1:
         raise ValueError(ODD_N_ERROR)
-    if n > EXHAUSTIVE_MAX_PARTIES:
-        raise ValueError(f"exhaustive route is capped at {EXHAUSTIVE_MAX_PARTIES} parties")
+    if not exhaustive_fits(psi.shape):
+        raise ValueError(
+            f"exhaustive route is capped at {EXHAUSTIVE_MAX_PARTIES} parties "
+            f"and dimension {EXHAUSTIVE_MAX_DIM}"
+        )
     dims = psi.shape.dims
     density = np.outer(psi.amplitudes, psi.amplitudes.conj())
     s_global = 1.0 - _naive_purity(density)

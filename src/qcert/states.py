@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .config import TOL_INPUT
 from .hilbert import Operator, PureState, SpaceShape, validate_density
 
 
@@ -104,7 +103,7 @@ def purify(rho: Operator) -> PureState:
     eigenvector's first nonzero component made real positive, and zero
     eigenvalues kept so the ancilla dimension is always D.
     """
-    diag = validate_density(rho, TOL_INPUT)
+    diag = validate_density(rho)
     if not diag.passes:
         raise ValueError(f"purify needs a valid density matrix: {diag.describe()}")
     m = rho.entries

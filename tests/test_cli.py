@@ -177,6 +177,23 @@ class TestMeasure:
         assert code == 2
         assert "doubled vector of length 4194304" in json.loads(out)["message"]
 
+    def test_route_all_skips_the_oracle_above_its_dimension_cap(self, tmp_path, capsys):
+        # Six qutrits: D = 729, over the oracle's cap of 256.
+        path = write_state(tmp_path, "q3x6.json", random_pure(SpaceShape((3,) * 6), 2))
+        code, out = run_cli(capsys, "measure", "--state", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["values"]["oracle"] is None
+        assert list(doc["route_deltas"]) == [
+            "partitions_vs_projector", "partitions_vs_subset_sum", "projector_vs_subset_sum"]
+        assert doc["routes_agree"] is True
+
+    def test_explicit_oracle_route_above_its_dimension_cap_exits_2(self, tmp_path, capsys):
+        path = write_state(tmp_path, "q3x6.json", random_pure(SpaceShape((3,) * 6), 2))
+        code, out = run_cli(capsys, "measure", "--state", path, "--route", "oracle")
+        assert code == 2
+        assert "capped at 8 parties and dimension 256" in json.loads(out)["message"]
+
     def test_mixed_state_rejected(self, tmp_path, capsys):
         path = write_state(tmp_path, "mx.json", random_mixed(SpaceShape((2, 2)), 3, 0))
         code, out = run_cli(capsys, "measure", "--state", path)

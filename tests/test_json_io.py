@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcert import (
@@ -148,6 +148,14 @@ def ref_pair_lists(a: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in a]
 
 
+def outcome(write, doc):
+    """The text ``write`` gives for ``doc``, or the type and message of its error."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def bits(a: np.ndarray) -> bytes:
     """The raw bytes of a complex array, so -0.0 and 0.0 differ."""
     return np.ascontiguousarray(a, dtype=complex).tobytes()
@@ -184,8 +192,8 @@ documents = st.recursive(
 
 
 def complex_arrays(ndim: int):
-    """Complex arrays of ``ndim`` axes, sides 1-5, both parts drawn from ``floats``."""
-    shapes = st.lists(st.integers(min_value=1, max_value=5), min_size=ndim, max_size=ndim)
+    """Complex arrays of ``ndim`` axes, sides 0-5, both parts drawn from ``floats``."""
+    shapes = st.lists(st.integers(min_value=0, max_value=5), min_size=ndim, max_size=ndim)
     return shapes.flatmap(lambda shape: st.lists(
         floats, min_size=2 * math.prod(shape), max_size=2 * math.prod(shape),
     ).map(lambda parts: np.array(parts).view(complex).reshape(shape)))
@@ -194,8 +202,17 @@ def complex_arrays(ndim: int):
 class TestDumpsMatchesReference:
     @SETTINGS
     @given(documents)
+    @example((1, 2.5, "x", None))  # tuples, inline and nested
+    @example({"t": ((1, 2), [3, (4.5,)], ((), ("y",)))})
+    @example({"a": math.nan, 1: 0})  # a non-finite value before a non-string key
+    @example({1: 0, "a": math.nan})  # and after it
+    @example([0.5, np.zeros(2)])  # leaves that are not JSON
+    @example({"b": np.bool_(True)})
+    @example([[1, object()]])
+    @example({"a": {"b": [], "c": {}}})  # empty containers at depth 2 and 3
+    @example([[[], {}], [[[]], {"d": {}}]])
     def test_documents(self, doc):
-        assert dumps(doc) == ref_dumps(doc)
+        assert outcome(dumps, doc) == outcome(ref_dumps, doc)
 
     @SETTINGS
     @given(st.one_of(float_rows, mixed_rows, ragged_rows))
@@ -244,6 +261,8 @@ PLACES = {
 class TestArrayWriterMatchesReference:
     @SETTINGS
     @given(st.one_of(complex_arrays(1), complex_arrays(2)))
+    @example(np.zeros(0, dtype=complex))  # a side of 0, printed as an empty list
+    @example(np.zeros((3, 0), dtype=complex))
     def test_arrays(self, a):
         for arr in (a, a.T):  # a.T: an array that is not C-contiguous
             for place, wrap in PLACES.items():

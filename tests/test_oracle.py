@@ -22,6 +22,7 @@ from qcert import (
     random_pure,
     w_state,
 )
+from qcert.oracle import EXHAUSTIVE_MAX_DIM, exhaustive_fits
 
 PROFILES = [(2, 3, 2, 3), (2, 2, 3, 3), (6, 6), (4, 9), (2, 2, 2, 2)]
 
@@ -103,3 +104,15 @@ class TestExhaustiveMeasure:
     def test_rejects_odd_party_count(self):
         with pytest.raises(ValueError, match="odd"):
             exhaustive_E(ghz_state(3))
+
+    @pytest.mark.parametrize("dims, fits", [
+        ((2,) * 8, True), ((4, 4, 4, 4), True), ((2, 2, 2, 2, 3, 3), True),
+        ((2, 2, 2), False), ((2,) * 10, False), ((3,) * 6, False),
+    ])
+    def test_size_rule(self, dims, fits):
+        assert exhaustive_fits(SpaceShape(dims)) is fits
+
+    def test_rejects_a_dimension_above_the_cap(self):
+        # Six qutrits: N is within EXHAUSTIVE_MAX_PARTIES, but D = 729.
+        with pytest.raises(ValueError, match=f"dimension {EXHAUSTIVE_MAX_DIM}"):
+            exhaustive_E(random_pure(SpaceShape((3,) * 6), 0))
