@@ -1,5 +1,7 @@
 """SHA-256 and exit code of the default stdout of every report command.
 
+Some jobs pin an error document or the empty stdout of ``sample --out``.
+
 The inputs are small seeded states written with the package's own writer,
 each with D <= 64, so no BLAS reduction is split across threads and the
 bytes do not depend on the thread count. A refactor of the sums behind the
@@ -87,6 +89,21 @@ JOBS = {
     "demo-eq8": (
         ("demo", "eq8"), 3,
         "eee853ba13d22b73a7a6573bc18a16b31d0ea118df0ce47038712abd49dedcd6"),
+    "measure-mixed": (
+        ("measure", "--state", "{mixed}"), 2,
+        "ff757bf3b8a440446b0b301b958722b18a04f49a3c53b5ba275a03e6ca8590bb"),
+    "monogamy-mixed": (
+        ("monogamy", "--state", "{mixed}"), 2,
+        "e1d83adae2685cb530e95eb14bef600978035c35f7283308c11eaa36542608f4"),
+    "compat-pure-and-global-purity": (
+        ("compat", "--marginals", "{full}", "--pure", "--global-purity", "0.5"), 2,
+        "0bb6b3a970c80210c9b51f66aee4df49c6c87c166b66a6a5abf4844e41cb6f01"),
+    "measure-no-state": (
+        ("measure",), 2,
+        "45fbf92cc17fac1ab1ee624ebacc275e9ad555fd732a11ac8c4c832b13ef5f6a"),
+    "sample-out": (  # the file goes to {out}; stdout stays empty
+        ("sample", "--dims", "2,3", "--out", "{out}"), 0,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
@@ -104,6 +121,7 @@ def paths(tmp_path_factory) -> dict[str, str]:
         path = root / f"{name}.json"
         path.write_text(dumps(doc) + "\n")
         out[name] = str(path)
+    out["out"] = str(root / "sample.json")
     return out
 
 
