@@ -2,11 +2,13 @@
 
 State files carry {"dims", "kind", "vector"|"matrix"}; marginal files carry
 {"dims", "marginals": [{"parties", "matrix"}, ...], "global_purity"?}. Any
-other key is an input error.
+other key, and any key given twice in one object, is an input error.
 Complex numbers serialize as two-element [re, im] arrays, and every number is
 printed with 17 significant digits, a negative zero as -0.0, so doubles
-round-trip losslessly. Every report carries a schema_version and the
-tolerances used for its verdicts.
+round-trip losslessly. Each command prints exactly one JSON document, except
+``sample --out``, which prints none. ``sample`` prints the state file; every
+other document opens with ``schema_version`` and ``kind``, and the reports
+also carry the tolerances used for their verdicts.
 
 ``state_file_dict`` and ``marginal_file_dict`` hold the complex arrays as
 numpy arrays, which only ``dumps`` writes; ``parse_state_dict`` and
@@ -136,13 +138,15 @@ def dumps(obj) -> str:
 
 # --- state and marginal file formats ---
 
-def _types(items) -> set[type]:
-    return set(map(type, items))
-
-
 def _all_of(items, kinds) -> bool:
-    """True when every item is an instance of ``kinds``; one check per distinct type."""
-    return all(issubclass(t, kinds) for t in _types(items))
+    """Every item an instance of ``kinds`` and none a bool; one check per distinct type."""
+    types = set(map(type, items))
+    return bool not in types and all(issubclass(t, kinds) for t in types)
+
+
+def _is_int_list(value) -> bool:
+    """A nonempty list of integers, none of them a bool."""
+    return isinstance(value, list) and bool(value) and _all_of(value, int)
 
 
 def _parse_pairs(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -164,8 +168,7 @@ def _parse_pairs(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
     if not _all_of(level, (list, tuple)) or set(map(len, level)) != {2}:
         raise ValueError(pair_error)
     numbers = list(chain.from_iterable(level))
-    types = _types(numbers)
-    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+    if not _all_of(numbers, (int, float)):
         raise ValueError(pair_error)
     try:
         flat = np.array(numbers, dtype=float)
@@ -188,11 +191,7 @@ def _check_keys(data: dict, allowed: tuple[str, ...], where: str) -> None:
 
 def _parse_dims(data: dict, where: str) -> SpaceShape:
     dims = data.get("dims")
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims)
-    ):
+    if not _is_int_list(dims):
         raise ValueError(f"{where}: 'dims' must be a nonempty list of integers")
     return SpaceShape(tuple(dims))
 
@@ -233,8 +232,17 @@ def parse_state_dict(data) -> PureState | Operator:
 
 
 def _read_json(path: str):
+    def unique(pairs: list) -> dict:
+        # json.loads alone keeps the last of two equal keys and drops the first.
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -243,19 +251,23 @@ def load_state_file(path: str) -> PureState | Operator:
     return parse_state_dict(_read_json(path))
 
 
+def _party_items(values: dict[SubsetMask, object] | None, key: str) -> list[dict] | None:
+    """``{"parties": [...], key: value}`` items in (size, mask) order; None stays None."""
+    if values is None:
+        return None
+    return [
+        {"parties": list(mask.parties), key: values[mask]}
+        for mask in sorted(values, key=lambda m: (m.cardinality, m.bits))
+    ]
+
+
 def marginal_file_dict(
     shape: SpaceShape,
     entries: dict[SubsetMask, Operator],
     global_purity: float | None = None,
 ) -> dict:
-    marginals = [
-        {
-            "parties": list(mask.parties),
-            "matrix": entries[mask].entries,
-        }
-        for mask in sorted(entries, key=lambda m: (m.cardinality, m.bits))
-    ]
-    doc: dict = {"dims": list(shape.dims), "marginals": marginals}
+    matrices = {mask: op.entries for mask, op in entries.items()}
+    doc: dict = {"dims": list(shape.dims), "marginals": _party_items(matrices, "matrix")}
     if global_purity is not None:
         doc["global_purity"] = float(global_purity)
     return doc
@@ -276,12 +288,7 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
             raise ValueError(f"{where}: must be an object")
         _check_keys(item, ("parties", "matrix"), where)
         parties = item.get("parties")
-        if (
-            not isinstance(parties, list)
-            or not parties
-            or not all(isinstance(p, int) and not isinstance(p, bool) for p in parties)
-            or sorted(set(parties)) != parties
-        ):
+        if not _is_int_list(parties) or sorted(set(parties)) != parties:
             raise ValueError(
                 f"{where}: 'parties' must be a strictly increasing list of party indices"
             )
@@ -295,7 +302,7 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
     global_purity = data.get("global_purity")
     subject = "marginal file: 'global_purity'"
     if global_purity is not None:
-        if isinstance(global_purity, bool) or not isinstance(global_purity, (int, float)):
+        if not _all_of([global_purity], (int, float)):
             raise ValueError(f"{subject} must be a number")
         # Checked here, so a flag that overrides the field does not hide a bad one.
         try:
@@ -311,34 +318,29 @@ def load_marginal_file(path: str) -> tuple[MarginalSet, float | None]:
 
 # --- report documents ---
 
-def _purity_items(purities: dict[SubsetMask, float] | None):
-    if purities is None:
-        return None
-    return [
-        {"parties": list(mask.parties), "purity": float(purities[mask])}
-        for mask in sorted(purities, key=lambda m: (m.cardinality, m.bits))
-    ]
+def _document(kind: str, **fields) -> dict:
+    """A printed document: ``schema_version`` and ``kind``, then ``fields`` in order."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
 
 
 def error_dict(message: str) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "kind": "error", "message": message}
+    return _document("error", message=message)
 
 
 def compat_report_dict(rep: CompatReport, violations) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "compat_report",
-        "theorem": rep.theorem,
-        "dims": list(rep.dims),
-        "verdict": rep.verdict,
-        "lhs": rep.lhs,
-        "lhs_proper": rep.lhs_proper,
-        "bound": 1.0,
-        "slack": rep.slack,
-        "assumed_global_purity": rep.assumed_global_purity,
-        "per_subset_purities": _purity_items(rep.per_subset_purities),
-        "missing_subsets": [list(m.parties) for m in rep.missing_subsets],
-        "consistency_violations": [
+    return _document(
+        "compat_report",
+        theorem=rep.theorem,
+        dims=list(rep.dims),
+        verdict=rep.verdict,
+        lhs=rep.lhs,
+        lhs_proper=rep.lhs_proper,
+        bound=1.0,
+        slack=rep.slack,
+        assumed_global_purity=rep.assumed_global_purity,
+        per_subset_purities=_party_items(rep.per_subset_purities, "purity"),
+        missing_subsets=[list(m.parties) for m in rep.missing_subsets],
+        consistency_violations=[
             {
                 "subset": list(v.subset.parties),
                 "superset": list(v.superset.parties),
@@ -346,34 +348,37 @@ def compat_report_dict(rep: CompatReport, violations) -> dict:
             }
             for v in violations
         ],
-        "tolerances": {"verdict": TOL_VERDICT, "input": TOL_INPUT},
-    }
+        tolerances={"verdict": TOL_VERDICT, "input": TOL_INPUT},
+    )
 
 
 # --- commands ---
 
-def cmd_measure(args) -> int:
-    state = load_state_file(args.state)
+def _pure_state(path: str, subject: str) -> PureState:
+    """The state file at ``path``, which must be pure for ``subject`` to be defined."""
+    state = load_state_file(path)
     if not isinstance(state, PureState):
-        raise ValueError("the measure is defined for pure states; got kind 'mixed'")
+        raise ValueError(f"{subject} defined for pure states; got kind 'mixed'")
+    return state
+
+
+def cmd_measure(args) -> tuple[dict, int]:
+    state = _pure_state(args.state, "the measure is")
     rep = measure_all(state, args.route)
     if args.route == "oracle" or (args.route == "all" and exhaustive_fits(state.shape)):
         rep = replace(rep, values={**rep.values, "oracle": exhaustive_E(state)})
     max_delta = rep.max_route_delta()
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "measure_report",
-        "dims": list(rep.dims),
-        "route": args.route,
-        "values": rep.values,
-        "route_deltas": rep.route_deltas(),
-        "max_route_delta": max_delta,
-        "routes_agree": None if max_delta is None else max_delta <= TOL_ROUTE,
-        "per_subset_purities": _purity_items(rep.per_subset_purities),
-        "tolerances": {"route_agreement": TOL_ROUTE, "input": TOL_INPUT},
-    }
-    print(dumps(doc))
-    return EXIT_OK
+    return _document(
+        "measure_report",
+        dims=list(rep.dims),
+        route=args.route,
+        values=rep.values,
+        route_deltas=rep.route_deltas(),
+        max_route_delta=max_delta,
+        routes_agree=None if max_delta is None else max_delta <= TOL_ROUTE,
+        per_subset_purities=_party_items(rep.per_subset_purities, "purity"),
+        tolerances={"route_agreement": TOL_ROUTE, "input": TOL_INPUT},
+    ), EXIT_OK
 
 
 def _certify(
@@ -384,27 +389,22 @@ def _certify(
     return compat_report_dict(rep, consistency_precheck(marginals)), _VERDICT_EXIT[rep.verdict]
 
 
-def cmd_compat(args) -> int:
+def cmd_compat(args) -> tuple[dict, int]:
     if args.pure and args.global_purity is not None:
         raise ValueError("--pure and --global-purity are mutually exclusive")
     marginals, file_purity = load_marginal_file(args.marginals)
     g = args.global_purity if args.global_purity is not None else file_purity
-    doc, code = _certify(marginals, args.pure, g)
-    print(dumps(doc))
-    return code
+    return _certify(marginals, args.pure, g)
 
 
-def cmd_monogamy(args) -> int:
-    state = load_state_file(args.state)
-    if not isinstance(state, PureState):
-        raise ValueError("monogamy reports are defined for pure states; got kind 'mixed'")
+def cmd_monogamy(args) -> tuple[dict, int]:
+    state = _pure_state(args.state, "monogamy reports are")
     reports = corollary1_scan(state)
     all_hold = all(r.holds for r in reports)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "monogamy_report",
-        "dims": list(state.shape.dims),
-        "reports": [
+    return _document(
+        "monogamy_report",
+        dims=list(state.shape.dims),
+        reports=[
             {
                 "parties": list(r.index_set.parties),
                 "lhs": r.lhs,
@@ -414,28 +414,23 @@ def cmd_monogamy(args) -> int:
             }
             for r in reports
         ],
-        "all_hold": all_hold,
-        "tolerances": {"verdict": TOL_VERDICT},
-    }
-    print(dumps(doc))
-    return EXIT_OK if all_hold else EXIT_VIOLATION
+        all_hold=all_hold,
+        tolerances={"verdict": TOL_VERDICT},
+    ), EXIT_OK if all_hold else EXIT_VIOLATION
 
 
-def cmd_disorder(args) -> int:
+def cmd_disorder(args) -> tuple[dict, int]:
     state = load_state_file(args.state)
     rep = disorder_check(state)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "disorder_report",
-        "dims": list(state.shape.dims),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "holds": rep.holds,
-        "tolerances": {"verdict": TOL_VERDICT},
-    }
-    print(dumps(doc))
-    return EXIT_OK if rep.holds else EXIT_VIOLATION
+    return _document(
+        "disorder_report",
+        dims=list(state.shape.dims),
+        lhs=rep.lhs,
+        rhs=rep.rhs,
+        slack=rep.slack,
+        holds=rep.holds,
+        tolerances={"verdict": TOL_VERDICT},
+    ), EXIT_OK if rep.holds else EXIT_VIOLATION
 
 
 def _parse_dims_arg(text: str) -> SpaceShape:
@@ -446,7 +441,7 @@ def _parse_dims_arg(text: str) -> SpaceShape:
     return SpaceShape(dims)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[dict | None, int]:
     shape = _parse_dims_arg(args.dims)
     if args.kind == "pure":
         if args.rank is not None:
@@ -455,15 +450,14 @@ def cmd_sample(args) -> int:
     else:
         rank = args.rank if args.rank is not None else shape.total_dim
         state = random_mixed(shape, rank, args.seed)
-    text = dumps(state_file_dict(state))
-    if args.out:
-        with open(args.out, "w") as f:  # two writes: text + "\n" would copy the text
-            f.write(text)
-            f.write("\n")
-    else:
-        # The newline is a second write: it fails on a closed pipe after a cut-short one.
-        print(text)
-    return EXIT_OK
+    doc = state_file_dict(state)
+    if not args.out:
+        return doc, EXIT_OK
+    text = dumps(doc)
+    with open(args.out, "w") as f:  # two writes: text + "\n" would copy the text
+        f.write(text)
+        f.write("\n")
+    return None, EXIT_OK
 
 
 def eq8_marginal_file() -> dict:
@@ -486,18 +480,11 @@ def eq8_marginal_file() -> dict:
     return marginal_file_dict(shape, entries)
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple[dict, int]:
     file_dict = eq8_marginal_file()
     marginals, global_purity = parse_marginal_dict(json.loads(dumps(file_dict)))
     certificate, code = _certify(marginals, pure=False, global_purity=global_purity)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "demo_eq8",
-        "marginal_file": file_dict,
-        "certificate": certificate,
-    }
-    print(dumps(doc))
-    return code
+    return _document("demo_eq8", marginal_file=file_dict, certificate=certificate), code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -556,15 +543,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv) -> int:
-    """The command's exit code; an input error is printed as an ``error`` document."""
+    """Print the command's document, or an ``error`` document for an input error; the exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        doc, code = args.func(args)
+        text = None if doc is None else dumps(doc)
     except BrokenPipeError:
         raise
     except (ValueError, OSError, RecursionError, MemoryError) as exc:
-        print(dumps(error_dict(str(exc) or type(exc).__name__)))
-        return EXIT_INPUT_ERROR
+        text, code = dumps(error_dict(str(exc) or type(exc).__name__)), EXIT_INPUT_ERROR
+    if text is not None:
+        # The newline is a second write: it fails on a closed pipe after a cut-short text.
+        print(text)
+    return code
 
 
 def main(argv=None) -> int:

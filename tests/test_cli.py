@@ -433,6 +433,64 @@ class TestUnknownKeys:
         )
 
 
+def object_text(pairs) -> str:
+    """A JSON object of (key, value text) ``pairs`` in order, repeated keys kept."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in pairs) + "}"
+
+
+def pair_texts(doc: dict) -> list[tuple[str, str]]:
+    return [(key, json.dumps(value)) for key, value in doc.items()]
+
+
+class TestDuplicateKeys:
+    """A repeated key is an input error: a decoder would keep one value and drop the other."""
+
+    def test_state_file(self, tmp_path, capsys):
+        doc = json.loads(dumps(state_file_dict(ghz_state(2))))
+        text = object_text([*pair_texts(doc), ("vector", json.dumps(doc["vector"]))])
+        path = write_json(tmp_path, "s.json", text)
+        for command in ("measure", "monogamy", "disorder"):
+            message = error_message(*run_cli(capsys, command, "--state", path))
+            assert message == f"{path}: duplicate key 'vector'"
+
+    def test_marginal_file_global_purity(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries), 0.25)
+        text = object_text([*pair_texts(json.loads(dumps(doc))), ("global_purity", "1.0")])
+        path = write_json(tmp_path, "m.json", text)
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path))
+        assert message == f"{path}: duplicate key 'global_purity'"
+
+    def test_marginal_entry_matrix(self, tmp_path, capsys):
+        rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
+        doc = json.loads(dumps(marginal_file_dict(
+            rho.shape, dict(MarginalSet.from_global(rho).entries))))
+        entries = [json.dumps(entry) for entry in doc["marginals"]]
+        pure = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        entry = [*pair_texts(doc["marginals"][1]), ("matrix", json.dumps(pure))]
+        entries[1] = object_text(entry)
+        text = object_text([("dims", "[2, 2]"), ("marginals", "[" + ", ".join(entries) + "]")])
+        path = write_json(tmp_path, "m.json", text)
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path))
+        assert message == f"{path}: duplicate key 'matrix'"
+
+    def test_verdict_does_not_depend_on_the_key_order(self, tmp_path, capsys):
+        eq8 = json.loads(dumps(cli.eq8_marginal_file()))
+        rho = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 5)
+        real = json.loads(dumps(marginal_file_dict(
+            rho.shape, dict(MarginalSet.from_global(rho).entries))))
+        assert run_cli(capsys, "compat", "--marginals",
+                       write_json(tmp_path, "eq8.json", json.dumps(eq8)))[0] == 3
+        assert run_cli(capsys, "compat", "--marginals",
+                       write_json(tmp_path, "real.json", json.dumps(real)))[0] == 0
+        sets = [json.dumps(eq8["marginals"]), json.dumps(real["marginals"])]
+        for order in (sets, sets[::-1]):
+            text = object_text([("dims", "[2, 2, 2, 2]"), *(("marginals", s) for s in order)])
+            path = write_json(tmp_path, "both.json", text)
+            message = error_message(*run_cli(capsys, "compat", "--marginals", path))
+            assert message == f"{path}: duplicate key 'marginals'"
+
+
 class TestUsageErrors:
     """Argument errors print the ``error`` document on stdout, as input errors do."""
 
