@@ -29,26 +29,17 @@ import sys
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compatibility import (
-    CompatReport,
-    MarginalSet,
-    VERDICT_CONSISTENT,
-    VERDICT_INCOMPATIBLE,
-    VERDICT_INCONCLUSIVE,
-    checked_global_purity,
-    consistency_precheck,
-    theorem1_check,
-    theorem2_check,
-)
-from .config import TOL_INPUT, TOL_ROUTE, TOL_VERDICT
+from .config import ROUTES, TOL_INPUT, TOL_ROUTE, TOL_VERDICT
 from .hilbert import Operator, PureState, SpaceShape, SubsetMask, validate_density
-from .measures import ROUTES, measure_all
-from .monogamy import corollary1_scan, disorder_check
-from .oracle import exhaustive_E, exhaustive_fits
-from .states import random_mixed, random_pure
+
+# The other modules are imported inside the commands that run them, so a
+# command loads only its own share of the package.
+if TYPE_CHECKING:
+    from .compatibility import CompatReport, MarginalSet
 
 SCHEMA_VERSION = "1"
 
@@ -57,12 +48,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_VIOLATION = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer stopped by SIGPIPE
-
-_VERDICT_EXIT = {
-    VERDICT_CONSISTENT: EXIT_OK,
-    VERDICT_INCOMPATIBLE: EXIT_VIOLATION,
-    VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
-}
 
 
 # --- JSON emission (17 significant digits for lossless double round-trips) ---
@@ -274,6 +259,8 @@ def marginal_file_dict(
 
 
 def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
+    from .compatibility import MarginalSet, checked_global_purity
+
     if not isinstance(data, dict):
         raise ValueError("marginal file: top level must be a JSON object")
     _check_keys(data, ("dims", "marginals", "global_purity"), "marginal file")
@@ -363,6 +350,9 @@ def _pure_state(path: str, subject: str) -> PureState:
 
 
 def cmd_measure(args) -> tuple[dict, int]:
+    from .measures import measure_all
+    from .oracle import exhaustive_E, exhaustive_fits
+
     state = _pure_state(args.state, "the measure is")
     rep = measure_all(state, args.route)
     if args.route == "oracle" or (args.route == "all" and exhaustive_fits(state.shape)):
@@ -385,8 +375,22 @@ def _certify(
     marginals: MarginalSet, pure: bool, global_purity: float | None
 ) -> tuple[dict, int]:
     """The ``compat_report`` document of the theorem 1 (pure) or 2 check, and its exit code."""
+    from .compatibility import (
+        VERDICT_CONSISTENT,
+        VERDICT_INCOMPATIBLE,
+        VERDICT_INCONCLUSIVE,
+        consistency_precheck,
+        theorem1_check,
+        theorem2_check,
+    )
+
+    verdict_exit = {
+        VERDICT_CONSISTENT: EXIT_OK,
+        VERDICT_INCOMPATIBLE: EXIT_VIOLATION,
+        VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    }
     rep = theorem1_check(marginals) if pure else theorem2_check(marginals, global_purity)
-    return compat_report_dict(rep, consistency_precheck(marginals)), _VERDICT_EXIT[rep.verdict]
+    return compat_report_dict(rep, consistency_precheck(marginals)), verdict_exit[rep.verdict]
 
 
 def cmd_compat(args) -> tuple[dict, int]:
@@ -398,6 +402,8 @@ def cmd_compat(args) -> tuple[dict, int]:
 
 
 def cmd_monogamy(args) -> tuple[dict, int]:
+    from .monogamy import corollary1_scan
+
     state = _pure_state(args.state, "monogamy reports are")
     reports = corollary1_scan(state)
     all_hold = all(r.holds for r in reports)
@@ -420,6 +426,8 @@ def cmd_monogamy(args) -> tuple[dict, int]:
 
 
 def cmd_disorder(args) -> tuple[dict, int]:
+    from .monogamy import disorder_check
+
     state = load_state_file(args.state)
     rep = disorder_check(state)
     return _document(
@@ -442,6 +450,8 @@ def _parse_dims_arg(text: str) -> SpaceShape:
 
 
 def cmd_sample(args) -> tuple[dict | None, int]:
+    from .states import random_mixed, random_pure
+
     shape = _parse_dims_arg(args.dims)
     if args.kind == "pure":
         if args.rank is not None:

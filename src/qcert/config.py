@@ -1,4 +1,4 @@
-"""Shared tolerances and dimension caps."""
+"""Shared tolerances, dimension caps and the names of the measure routes."""
 
 from __future__ import annotations
 
@@ -15,6 +15,9 @@ DEFAULT_OPERATOR_DIM_CAP = 4096
 VECTOR_DIM_CAP = 1 << 20
 
 CAP_ENV_VAR = "QCERT_MAX_DIM"
+
+# The routes of ``measures.measure_all``; here so the CLI parser needs no measures import.
+ROUTES = ("partitions", "projector", "subset-sum", "all", "oracle")
 
 
 def operator_dim_cap() -> int:

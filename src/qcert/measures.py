@@ -5,14 +5,20 @@ mutual informations over the two partition classes (both blocks odd minus
 both blocks even). It equals 2^N times the all-antisymmetric two-copy
 expectation, and also an alternating sum of subset purities. The three
 routes are implemented independently and must agree within TOL_ROUTE.
+
+Every subset quantity reads one purity table per state. For a pure state
+each cut is computed once, from its smaller side, so the table costs one
+contraction per unbalanced pair {A, rest} and one per balanced cut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ROUTES
 from .hilbert import (
     Operator,
     PureState,
@@ -24,7 +30,6 @@ from .hilbert import (
 from .observables import _doubled_fits, expectation_pure
 
 ODD_N_ERROR = "partition classes undefined for odd N"
-ROUTES = ("partitions", "projector", "subset-sum", "all", "oracle")
 
 
 def _require_even(n: int) -> None:
@@ -50,21 +55,24 @@ def mutual_information(rho_ab: Operator, split: SubsetMask) -> float:
 def marginal_purity(psi: PureState, subset: SubsetMask) -> float:
     """Tr rho_A^2 for a marginal of a pure state, without forming the global density.
 
-    Contracts the smaller side of the cut; for a pure state both sides share
-    the same Schmidt spectrum so the value is identical.
+    Contracts the smaller side of the cut, A itself when 2|A| <= N; for a pure
+    state both sides share the same Schmidt spectrum so the value is identical.
     """
     _check_mask(psi.shape, subset)
     amp = psi.amplitudes
-    if subset.is_empty or subset.is_full:
+    dims = psi.shape.dims
+    n = len(dims)
+    full = (1 << n) - 1
+    bits = subset.bits
+    if bits == 0 or bits == full:
         nrm2 = float(np.vdot(amp, amp).real)
         return nrm2 * nrm2
-    n = psi.shape.n_parties
-    side = subset if 2 * subset.cardinality <= n else subset.complement()
-    kept = side.parties
-    rest = side.complement().parties
-    t = amp.reshape(psi.shape.dims)
-    m = np.transpose(t, kept + rest).reshape(
-        int(np.prod([psi.shape.dims[p] for p in kept])), -1
+    if 2 * bits.bit_count() > n:
+        bits ^= full
+    kept = tuple(p for p in range(n) if bits >> p & 1)
+    rest = tuple(p for p in range(n) if not bits >> p & 1)
+    m = np.transpose(amp.reshape(dims), kept + rest).reshape(
+        math.prod(dims[p] for p in kept), -1
     )
     g = m @ m.conj().T
     return float(np.einsum("ab,ba->", g, g).real)
@@ -74,19 +82,34 @@ def purity_table(state: PureState | Operator) -> list[float]:
     """Tr rho_A^2 of every subset A of the parties, indexed by mask bits.
 
     Entry 0 is the squared trace of the whole state and the last entry its
-    global purity. Pure states go through ``marginal_purity``, operators
-    through ``partial_trace``; every subset quantity of the package reads
-    this one table.
+    global purity. Pure states go through ``marginal_purity``, once per cut:
+    an unbalanced cut's larger side copies the value of its smaller side.
+    Operators go through ``partial_trace``. Every subset quantity of the
+    package reads this one table.
     """
     return _purities(state, range(1 << state.shape.n_parties))
 
 
 def _purities(state: PureState | Operator, masks) -> list[float]:
-    """Tr rho_A^2 for each mask in ``masks``, in order; fills ``purity_table``."""
+    """Tr rho_A^2 for each mask in ``masks``, in order; fills ``purity_table``.
+
+    For a pure state, a mask with 2|A| > N whose complement is also in
+    ``masks`` takes the complement's value: ``marginal_purity`` contracts the
+    same smaller side for both, so the copy is bit-identical. Balanced cuts,
+    2|A| = N, contract A itself, and each is computed on its own.
+    """
     n = state.shape.n_parties
-    if isinstance(state, PureState):
-        return [marginal_purity(state, SubsetMask(bits, n)) for bits in masks]
-    return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in masks]
+    if not isinstance(state, PureState):
+        return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in masks]
+    masks = list(masks)
+    full = (1 << n) - 1
+    wanted = set(masks)
+    values = {
+        bits: marginal_purity(state, SubsetMask(bits, n))
+        for bits in masks
+        if 2 * bits.bit_count() <= n or full ^ bits not in wanted
+    }
+    return [values[bits] if bits in values else values[full ^ bits] for bits in masks]
 
 
 def _split_sum(terms) -> tuple[float, float]:

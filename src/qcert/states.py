@@ -57,7 +57,10 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
     64-bit word r becomes a uniform u = ((r >> 11) + 1) * 2**-53 in (0, 1];
     consecutive uniform pairs map through Box-Muller,
     z0 = sqrt(-2 ln u1) cos(2 pi u2) and z1 = sqrt(-2 ln u1) sin(2 pi u2).
+    The seed is an integer in [0, 2**128), the Philox key range.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2

@@ -88,6 +88,19 @@ class TestSample:
         assert code == 2
         assert json.loads(out)["kind"] == "error"
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_out_of_range_is_an_input_error(self, capsys, seed):
+        code, out = run_cli(capsys, "sample", "--dims", "2", "--seed", str(seed))
+        assert code == 2
+        assert json.loads(out)["message"] == (
+            f"seed must be an integer in [0, 2**128), got {seed}"
+        )
+
+    def test_largest_seed_samples(self, capsys):
+        code, out = run_cli(capsys, "sample", "--dims", "2", "--seed", str(2**128 - 1))
+        assert code == 0
+        assert json.loads(out)["kind"] == "pure"
+
     def test_stdout_when_no_out_path(self, capsys):
         code, out = run_cli(capsys, "sample", "--dims", "2,2", "--seed", "3")
         assert code == 0
@@ -145,7 +158,8 @@ class TestMeasure:
         monkeypatch.setattr(measures, "marginal_purity", counted)
         code, out = run_cli(capsys, "measure", "--state", path, "--route", route)
         assert code == 0
-        assert sorted(calls) == list(range(16))
+        # Each cut once: a larger side copies its smaller side's value.
+        assert sorted(calls) == [b for b in range(16) if 2 * b.bit_count() <= 4]
         doc = json.loads(out)
         assert len(doc["per_subset_purities"]) == 14
         key = route.replace("-", "_")

@@ -1,0 +1,117 @@
+"""The package imports a module on first use, and each command only its own.
+
+``qcert`` lists its public names without importing them: ``getattr`` loads
+the home module and returns its attribute, keeping no copy, so a rebinding
+of the module attribute is what every caller sees. ``qcert.cli`` imports the
+modules of a command inside that command. A fresh interpreter per command
+checks which modules it leaves unloaded.
+"""
+
+from __future__ import annotations
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qcert
+from qcert import MarginalSet, SpaceShape, measures, random_pure
+from qcert.cli import dumps, marginal_file_dict, state_file_dict
+
+SRC = Path(qcert.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", qcert.__all__)
+def test_name_resolves_to_its_home_module(name):
+    obj = getattr(qcert, name)
+    assert inspect.isfunction(obj) or inspect.isclass(obj)
+    home = obj.__module__
+    assert home.startswith("qcert.")
+    assert getattr(sys.modules[home], name) is obj
+    assert name not in vars(qcert)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from qcert import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(qcert.__all__)
+
+
+def test_all_is_sorted_without_duplicates_and_listed_by_dir():
+    assert qcert.__all__ == sorted(set(qcert.__all__))
+    assert set(qcert.__all__) <= set(dir(qcert))
+    assert "__version__" in dir(qcert)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(qcert, "no_such_name")
+    assert not hasattr(qcert, "ROUTES")
+
+
+def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):
+    def stand_in(psi, subset):
+        return 0.5
+
+    monkeypatch.setattr(measures, "marginal_purity", stand_in)
+    assert qcert.marginal_purity is stand_in
+
+
+# --- modules each command leaves unloaded ------------------------------------
+
+RUN = """
+import runpy, sys
+sys.argv = ["qcert", *sys.argv[1:]]
+try:
+    runpy.run_module("qcert.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("qcert.")), file=sys.stderr)
+"""
+
+# (argv with {state} and {marginals} placeholders, exit code, modules not imported)
+COMMANDS = {
+    "measure": (["measure", "--state", "{state}"], 0,
+                {"compatibility", "monogamy", "states"}),
+    "monogamy": (["monogamy", "--state", "{state}"], 0,
+                 {"compatibility", "oracle", "states"}),
+    "disorder": (["disorder", "--state", "{state}"], 0,
+                 {"compatibility", "oracle", "states"}),
+    "sample": (["sample", "--dims", "2,3", "--seed", "4"], 0,
+               {"measures", "observables", "monogamy", "oracle", "compatibility"}),
+    "compat": (["compat", "--marginals", "{marginals}"], 0,
+               {"monogamy", "oracle", "states"}),
+    "demo": (["demo", "eq8"], 3, {"monogamy", "oracle", "states"}),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    psi = random_pure(SpaceShape((2, 2, 2, 2)), 6)
+    root = tmp_path_factory.mktemp("lazy")
+    state = root / "psi.json"
+    state.write_text(dumps(state_file_dict(psi)) + "\n")
+    marginals = root / "marginals.json"
+    entries = dict(MarginalSet.from_global(psi.density()).entries)
+    marginals.write_text(dumps(marginal_file_dict(psi.shape, entries)) + "\n")
+    return {"state": str(state), "marginals": str(marginals)}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_leaves_other_modules_unloaded(command, inputs):
+    argv, expected_code, absent = COMMANDS[command]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, *(arg.format(**inputs) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, *loaded = proc.stderr.split()
+    assert int(code) == expected_code, proc.stdout
+    assert json.loads(proc.stdout)["kind"] != "error"
+    loaded = {name.removeprefix("qcert.") for name in loaded}
+    assert not absent & loaded, f"{command} imported {sorted(absent & loaded)}"
+    assert {"config", "hilbert"} <= loaded

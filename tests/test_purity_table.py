@@ -56,6 +56,28 @@ SETTINGS = settings(max_examples=12, deadline=None)
 
 # --- reference loops ---------------------------------------------------------
 
+def frozen_marginal_purity(psi: PureState, subset: SubsetMask) -> float:
+    """``marginal_purity`` as it was before the table computed each cut once.
+
+    It walks ``SubsetMask.parties`` and ``complement()`` and sizes the kept
+    block with ``np.prod``; the package's kernel must give the same floats.
+    """
+    amp = psi.amplitudes
+    if subset.is_empty or subset.is_full:
+        nrm2 = float(np.vdot(amp, amp).real)
+        return nrm2 * nrm2
+    n = psi.shape.n_parties
+    side = subset if 2 * subset.cardinality <= n else subset.complement()
+    kept = side.parties
+    rest = side.complement().parties
+    t = amp.reshape(psi.shape.dims)
+    m = np.transpose(t, kept + rest).reshape(
+        int(np.prod([psi.shape.dims[p] for p in kept])), -1
+    )
+    g = m @ m.conj().T
+    return float(np.einsum("ab,ba->", g, g).real)
+
+
 def ref_subset_purities(psi: PureState) -> dict[SubsetMask, float]:
     n = psi.shape.n_parties
     full = (1 << n) - 1
@@ -215,6 +237,27 @@ class TestPartitionEnumeration:
 
 
 # --- the table itself ----------------------------------------------------------
+
+# Qubits, qutrits and mixed dims for N = 1..8, both parities.
+KERNEL_SHAPES = list(dict.fromkeys(
+    dims
+    for n in range(1, 9)
+    for dims in ((2,) * n, (3,) * n, (2, 3) * (n // 2) + (3,) * (n % 2))
+))
+
+
+class TestKernelBits:
+    """The kernel and the table against the frozen kernel, every mask, ``==``."""
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    @pytest.mark.parametrize("dims", KERNEL_SHAPES, ids=lambda d: "x".join(map(str, d)))
+    def test_every_mask_equals_the_frozen_kernel(self, dims, seed):
+        psi = random_pure(SpaceShape(dims), seed)
+        n = len(dims)
+        expected = [frozen_marginal_purity(psi, SubsetMask(bits, n)) for bits in range(1 << n)]
+        assert [marginal_purity(psi, SubsetMask(bits, n)) for bits in range(1 << n)] == expected
+        assert purity_table(psi) == expected
+
 
 class TestTable:
     def test_layout(self):

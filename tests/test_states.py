@@ -108,6 +108,12 @@ class TestSamplers:
         assert a.shape == (11,)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, True, 1.0, "1"])
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_normal_stream_rejects_a_seed_outside_the_key_range(self, seed, count):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            normal_stream(seed, count)
+
     def test_random_pure_is_normalized_and_deterministic(self):
         shape = SpaceShape((2, 3, 2))
         psi1 = random_pure(shape, 9)
