@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import ROUTES, TOL_INPUT, TOL_ROUTE, TOL_VERDICT
-from .hilbert import Operator, PureState, SpaceShape, SubsetMask, validate_density
+from .hilbert import Operator, PureState, SpaceShape, SubsetMask, _require_density
 
 # The other modules are imported inside the commands that run them, so a
 # command loads only its own share of the package.
@@ -209,9 +209,7 @@ def parse_state_dict(data) -> PureState | Operator:
         side = shape.total_dim
         mat = _parse_pairs(data.get("matrix"), (side, side), "state file")
         op = Operator(shape, mat)
-        diag = validate_density(op)
-        if not diag.passes:
-            raise ValueError(f"state file: not a density matrix: {diag.describe()}")
+        _require_density(op, "state file: not a density matrix")
         return op
     raise ValueError("state file: 'kind' must be 'pure' or 'mixed'")
 

@@ -24,9 +24,9 @@ from .hilbert import (
     Operator,
     SpaceShape,
     SubsetMask,
+    _require_density,
     partial_trace,
     purity,
-    validate_density,
 )
 from .measures import _signed_sum
 
@@ -64,12 +64,7 @@ class MarginalSet:
                     f"marginal on parties {mask.parties} has dims {op.shape.dims}, "
                     f"expected {sub.dims}"
                 )
-            diag = validate_density(op)
-            if not diag.passes:
-                raise ValueError(
-                    f"marginal on parties {mask.parties} is not a density matrix: "
-                    f"{diag.describe()}"
-                )
+            _require_density(op, f"marginal on parties {mask.parties} is not a density matrix")
             fixed[mask] = op
         object.__setattr__(self, "entries", fixed)
 

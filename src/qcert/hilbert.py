@@ -9,12 +9,15 @@ first argument's parties in front.
 All types are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to call concurrently.
 Reductions over subsets run in ascending bitmask order, which keeps repeated
-runs bit-for-bit identical.
+runs bit-for-bit identical. Dimensions, mask fields, party indices and
+permutation entries must be integers (Python or numpy ints, stored as int);
+a float or a string raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ class SpaceShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(operator.index(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if any(d < 2 for d in dims):
             raise ValueError(f"every party dimension must be >= 2, got {dims}")
@@ -66,6 +69,8 @@ class SubsetMask:
     n_parties: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", operator.index(self.bits))
+        object.__setattr__(self, "n_parties", operator.index(self.n_parties))
         if self.n_parties < 1:
             raise ValueError("subset mask needs at least one party")
         if not 0 <= self.bits < (1 << self.n_parties):
@@ -77,7 +82,7 @@ class SubsetMask:
     def from_parties(cls, parties, n_parties: int) -> SubsetMask:
         bits = 0
         for p in parties:
-            p = int(p)
+            p = operator.index(p)
             if not 0 <= p < n_parties:
                 raise ValueError(f"party index {p} out of range for N={n_parties}")
             bits |= 1 << p
@@ -235,25 +240,29 @@ def validate_density(rho: Operator) -> DensityDiagnostics:
     return DensityDiagnostics(herm_dev, trace_dev, min_eig)
 
 
+def _require_density(rho: Operator, prefix: str) -> None:
+    """Raise ``ValueError(f"{prefix}: ...")`` unless ``rho`` is a density matrix."""
+    diag = validate_density(rho)
+    if not diag.passes:
+        raise ValueError(f"{prefix}: {diag.describe()}")
+
+
 def _permute_matrix_factors(matrix: np.ndarray, dims, new_from_old) -> np.ndarray:
     """Reorder the tensor factors of a square matrix.
 
-    ``new_from_old[k]`` is the old factor index placed at position k.
+    ``new_from_old[k]`` is the old factor index placed at position k. The
+    callers, ``permute_parties`` and ``observable``, pass tuples and check it.
     """
-    dims = tuple(dims)
     n = len(dims)
-    perm = tuple(int(p) for p in new_from_old)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
     t = matrix.reshape(dims + dims)
-    t = np.transpose(t, perm + tuple(n + p for p in perm))
+    t = np.transpose(t, new_from_old + tuple(n + p for p in new_from_old))
     d = math.prod(dims)
     return t.reshape(d, d)
 
 
 def permute_parties(obj: Operator | PureState, new_from_old) -> Operator | PureState:
     """Relabel parties: position k of the result holds old party new_from_old[k]."""
-    perm = tuple(int(p) for p in new_from_old)
+    perm = tuple(operator.index(p) for p in new_from_old)
     dims = obj.shape.dims
     if sorted(perm) != list(range(len(dims))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(dims) - 1}")

@@ -6,9 +6,11 @@ both blocks even). It equals 2^N times the all-antisymmetric two-copy
 expectation, and also an alternating sum of subset purities. The three
 routes are implemented independently and must agree within TOL_ROUTE.
 
-Every subset quantity reads one purity table per state. For a pure state
-each cut is computed once, from its smaller side, so the table costs one
-contraction per unbalanced pair {A, rest} and one per balanced cut.
+Every subset quantity reads one complete purity table per state; only a
+single monogamy check, ``corollary1_check``, evaluates just its submasks.
+For a pure state each cut is computed once, from its smaller side, so the
+table costs one contraction per unbalanced pair {A, rest} and one per
+balanced cut.
 """
 
 from __future__ import annotations
@@ -82,34 +84,22 @@ def purity_table(state: PureState | Operator) -> list[float]:
     """Tr rho_A^2 of every subset A of the parties, indexed by mask bits.
 
     Entry 0 is the squared trace of the whole state and the last entry its
-    global purity. Pure states go through ``marginal_purity``, once per cut:
-    an unbalanced cut's larger side copies the value of its smaller side.
-    Operators go through ``partial_trace``. Every subset quantity of the
-    package reads this one table.
-    """
-    return _purities(state, range(1 << state.shape.n_parties))
-
-
-def _purities(state: PureState | Operator, masks) -> list[float]:
-    """Tr rho_A^2 for each mask in ``masks``, in order; fills ``purity_table``.
-
-    For a pure state, a mask with 2|A| > N whose complement is also in
-    ``masks`` takes the complement's value: ``marginal_purity`` contracts the
-    same smaller side for both, so the copy is bit-identical. Balanced cuts,
-    2|A| = N, contract A itself, and each is computed on its own.
+    global purity. Operators go through ``partial_trace``. A pure state calls
+    ``marginal_purity`` once per cut, on the masks with 2|A| <= N in ascending
+    order; every other entry copies its complement's value, which
+    ``marginal_purity`` computes from the same smaller side, so the copy is
+    bit-identical. Every subset quantity but ``corollary1_check`` reads it.
     """
     n = state.shape.n_parties
     if not isinstance(state, PureState):
-        return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in masks]
-    masks = list(masks)
+        return [purity(partial_trace(state, SubsetMask(bits, n))) for bits in range(1 << n)]
     full = (1 << n) - 1
-    wanted = set(masks)
     values = {
         bits: marginal_purity(state, SubsetMask(bits, n))
-        for bits in masks
-        if 2 * bits.bit_count() <= n or full ^ bits not in wanted
+        for bits in range(full + 1)
+        if 2 * bits.bit_count() <= n
     }
-    return [values[bits] if bits in values else values[full ^ bits] for bits in masks]
+    return [values[bits] if bits in values else values[full ^ bits] for bits in range(full + 1)]
 
 
 def _split_sum(terms) -> tuple[float, float]:

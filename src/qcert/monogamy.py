@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import measures
 from .config import TOL_VERDICT
 from .hilbert import Operator, PureState, SubsetMask, _check_mask
-from .measures import _purities, _split_sum, purity_table
+from .measures import _split_sum, purity_table
 
 
 def _submasks(bits: int) -> list[int]:
@@ -55,13 +56,17 @@ def corollary1_check(psi: PureState, index_set: SubsetMask) -> MonogamyReport:
 
     A ranges over the subsets of ``index_set``; each squared concurrence cuts
     A against all remaining parties of the global state, and vanishes by
-    convention for A empty or equal to the full party set.
+    convention for A empty or equal to the full party set. Only the submasks
+    of ``index_set`` are evaluated, by the table's kernel ``marginal_purity``,
+    so the report equals the matching one of ``corollary1_scan``.
     """
     _check_mask(psi.shape, index_set)
     if index_set.cardinality < 2 or index_set.is_odd:
         raise ValueError("index set must have even cardinality >= 2")
+    n = index_set.n_parties
     masks = _submasks(index_set.bits)
-    return _corollary1(dict(zip(masks, _purities(psi, masks))), index_set)
+    table = {bits: measures.marginal_purity(psi, SubsetMask(bits, n)) for bits in masks}
+    return _corollary1(table, index_set)
 
 
 def corollary1_scan(psi: PureState) -> list[MonogamyReport]:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .hilbert import Operator, PureState, SpaceShape, validate_density
+from .hilbert import Operator, PureState, SpaceShape, _require_density
 
 
 def _qubits(n: int) -> SpaceShape:
@@ -106,9 +106,7 @@ def purify(rho: Operator) -> PureState:
     eigenvector's first nonzero component made real positive, and zero
     eigenvalues kept so the ancilla dimension is always D.
     """
-    diag = validate_density(rho)
-    if not diag.passes:
-        raise ValueError(f"purify needs a valid density matrix: {diag.describe()}")
+    _require_density(rho, "purify needs a valid density matrix")
     m = rho.entries
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     order = np.argsort(-vals, kind="stable")

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcert import PureState, SpaceShape, normal_stream
+from qcert import PureState, SpaceShape, SubsetMask, normal_stream
+
+
+def mask(parties, n: int) -> SubsetMask:
+    return SubsetMask.from_parties(parties, n)
 
 
 def bell_state() -> PureState:

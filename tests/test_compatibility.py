@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import mask
 from qcert import (
     MarginalSet,
     Operator,
@@ -26,10 +27,6 @@ from qcert import (
     w_state,
 )
 from qcert.cli import dumps, eq8_marginal_file, parse_marginal_dict
-
-
-def mask(parties, n):
-    return SubsetMask.from_parties(parties, n)
 
 
 def eq8_set() -> MarginalSet:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, max_abs
+from conftest import bell_state, mask, max_abs
 from qcert import (
     Operator,
     PureState,
@@ -30,10 +30,6 @@ SIGMA_Z = np.diag([1.0, -1.0])
 
 def qubit_op(matrix) -> Operator:
     return Operator(SpaceShape((2,)), matrix)
-
-
-def mask(parties, n) -> SubsetMask:
-    return SubsetMask.from_parties(parties, n)
 
 
 class TestShapesAndMasks:
@@ -63,6 +59,53 @@ class TestShapesAndMasks:
         assert m.is_odd
         assert not mask([1, 2], 6).is_odd
         assert m.complement().cardinality == 3
+
+
+
+class TestIntegerIndices:
+    """Dimensions, mask fields, party indices and permutations must be integers."""
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), "22", (2, 2.0)])
+    def test_shape_rejects_non_integer_dims(self, dims):
+        with pytest.raises(TypeError):
+            SpaceShape(dims)
+
+    @pytest.mark.parametrize("bits, n", [(2.0, 2), (1, 2.0), ("1", 2)])
+    def test_mask_rejects_non_integer_fields(self, bits, n):
+        with pytest.raises(TypeError):
+            SubsetMask(bits, n)
+
+    @pytest.mark.parametrize("parties", [[0.9, 1], [0, 1.0], ["0"]])
+    def test_from_parties_rejects_non_integer_indices(self, parties):
+        with pytest.raises(TypeError):
+            SubsetMask.from_parties(parties, 2)
+
+    @pytest.mark.parametrize("perm", [(1.2, 0), (1.0, 0), ("1", "0")])
+    def test_permute_parties_rejects_non_integer_entries(self, perm):
+        psi = random_pure(SpaceShape((2, 3)), 1)
+        for obj in (psi, psi.density()):
+            with pytest.raises(TypeError):
+                permute_parties(obj, perm)
+
+    @pytest.mark.parametrize("perm", [(0, 0), (0, 2), (0,)])
+    def test_permute_parties_rejects_non_permutations(self, perm):
+        psi = random_pure(SpaceShape((2, 3)), 1)
+        for obj in (psi, psi.density()):
+            with pytest.raises(ValueError, match="not a permutation"):
+                permute_parties(obj, perm)
+
+    def test_numpy_integers_are_accepted_and_stored_as_int(self):
+        shape = SpaceShape((np.int64(2), np.int32(3)))
+        assert shape.dims == (2, 3) and all(type(d) is int for d in shape.dims)
+        m = SubsetMask(np.int64(2), np.int64(3))
+        assert (m.bits, m.n_parties) == (2, 3)
+        assert type(m.bits) is int and type(m.n_parties) is int
+        assert m == SubsetMask(2, 3) and hash(m) == hash(SubsetMask(2, 3))
+        assert SubsetMask.from_parties(np.array([0, 2]), 3) == SubsetMask(5, 3)
+        psi = random_pure(SpaceShape((2, 3)), 1)
+        moved = permute_parties(psi, np.array([1, 0]))
+        assert moved.shape.dims == (3, 2)
+        assert moved.amplitudes.tolist() == permute_parties(psi, (1, 0)).amplitudes.tolist()
 
 
 class TestTensor:

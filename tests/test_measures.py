@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bell_state, random_unitary
+from conftest import bell_state, mask, random_unitary
 from qcert import (
     Operator,
     SpaceShape,
@@ -24,10 +24,6 @@ from qcert import (
     random_pure,
     w_state,
 )
-
-
-def mask(parties, n):
-    return SubsetMask.from_parties(parties, n)
 
 
 def all_routes(psi):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import mask
 from qcert import measures
 from qcert import (
     SpaceShape,
@@ -21,10 +22,6 @@ from qcert import (
     tensor,
     w_state,
 )
-
-
-def mask(parties, n):
-    return SubsetMask.from_parties(parties, n)
 
 
 class TestCorollary1:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import max_abs
+from conftest import mask, max_abs
 from qcert import (
     Operator,
     PureState,
@@ -26,10 +26,6 @@ from qcert import (
     validate_density,
     w_state,
 )
-
-
-def mask(parties, n):
-    return SubsetMask.from_parties(parties, n)
 
 
 class TestWState:
@@ -173,3 +169,12 @@ class TestPurify:
         bad = Operator(SpaceShape((2,)), [[0.9, 0.3], [0.0, 0.1]])
         with pytest.raises(ValueError):
             purify(bad)
+
+    def test_invalid_input_message(self):
+        bad = Operator(SpaceShape((2,)), np.diag([1.1, -0.1]))
+        with pytest.raises(ValueError) as info:
+            purify(bad)
+        assert str(info.value) == (
+            "purify needs a valid density matrix: hermiticity deviation 0, "
+            "trace deviation 0, min eigenvalue -0.1 (tol 1e-08)"
+        )

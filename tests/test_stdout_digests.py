@@ -13,9 +13,18 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from qcert import MarginalSet, SpaceShape, SubsetMask, purity, random_mixed, random_pure
+from qcert import (
+    MarginalSet,
+    Operator,
+    SpaceShape,
+    SubsetMask,
+    purity,
+    random_mixed,
+    random_pure,
+)
 from qcert.cli import dumps, main, marginal_file_dict, state_file_dict
 
 # Input files, written once per module.
@@ -26,6 +35,9 @@ STATES = {
     "mixed": random_mixed(SpaceShape((2, 2, 2, 2)), 3, 14),
 }
 COMPAT_STATE = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 15)
+# Not density matrices: one negative eigenvalue each, trace 1.
+NOT_DENSITY = Operator(SpaceShape((2, 2)), np.diag([0.7, 0.4, 0.0, -0.1]))
+NOT_DENSITY_MARGINAL = Operator(SpaceShape((2,)), np.diag([1.1, -0.1]))
 
 # job -> (argv with {name} for input paths, exit code, SHA-256 of stdout)
 JOBS = {
@@ -104,6 +116,12 @@ JOBS = {
     "sample-out": (  # the file goes to {out}; stdout stays empty
         ("sample", "--dims", "2,3", "--out", "{out}"), 0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "disorder-not-density": (
+        ("disorder", "--state", "{not_density}"), 2,
+        "b94ce0423b28a26fddd13eccc0e1e900be362ff9c902c09c0d2dac277e0e4961"),
+    "compat-not-density": (
+        ("compat", "--marginals", "{not_density_marginal}"), 2,
+        "56aea5dc2567408ce34dc5cafb9cbe6be12a42d10744f93564e368a25acc8f29"),
 }
 
 
@@ -116,6 +134,9 @@ def paths(tmp_path_factory) -> dict[str, str]:
     docs["full"] = marginal_file_dict(rho.shape, entries, purity(rho))
     del entries[SubsetMask.from_parties((0, 2), 4)]
     docs["missing"] = marginal_file_dict(rho.shape, entries)
+    docs["not_density"] = state_file_dict(NOT_DENSITY)
+    docs["not_density_marginal"] = marginal_file_dict(
+        SpaceShape((2, 2)), {SubsetMask(1, 2): NOT_DENSITY_MARGINAL})
     out = {}
     for name, doc in docs.items():
         path = root / f"{name}.json"
