@@ -137,22 +137,20 @@ def _is_int_list(value) -> bool:
 def _parse_pairs(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
     """A complex array of ``shape`` from nested lists of [re, im] number pairs.
 
-    Each nesting level is checked at once over all of its lists, then every
-    number is converted in one ``np.array`` call.
+    One loop checks each nesting level at once over all of its lists: the rows
+    of ``shape``, then the pairs. Each must be a list, as decoded JSON gives.
+    Every number is then converted in one ``np.array`` call.
     """
     if len(shape) == 1:
         what, shape_error = "'vector'", f"{where}: 'vector' must hold {shape[0]} [re, im] pairs"
     else:
         what, shape_error = "matrix", f"{where}: expected a {shape[0]}x{shape[1]} matrix"
-    level = [obj]
-    for n in shape:
-        if not _all_of(level, list) or set(map(len, level)) != {n}:
-            raise ValueError(shape_error)
-        level = list(chain.from_iterable(level))
     pair_error = f"{where}: complex entries must be [re, im] number pairs"
-    if not _all_of(level, (list, tuple)) or set(map(len, level)) != {2}:
-        raise ValueError(pair_error)
-    numbers = list(chain.from_iterable(level))
+    numbers = [obj]
+    for n, error in [(n, shape_error) for n in shape] + [(2, pair_error)]:
+        if not _all_of(numbers, list) or set(map(len, numbers)) != {n}:
+            raise ValueError(error)
+        numbers = list(chain.from_iterable(numbers))
     if not _all_of(numbers, (int, float)):
         raise ValueError(pair_error)
     try:
@@ -280,20 +278,15 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         mask = SubsetMask.from_parties(parties, shape.n_parties)
         if mask in entries:
             raise ValueError(f"{where}: duplicate marginal for parties {parties}")
-        side = shape.subshape(mask).total_dim
-        mat = _parse_pairs(item.get("matrix"), (side, side), where)
-        entries[mask] = Operator(shape.subshape(mask), mat)
+        sub = shape.subshape(mask)
+        mat = _parse_pairs(item.get("matrix"), (sub.total_dim,) * 2, where)
+        entries[mask] = Operator(sub, mat)
     marginals = MarginalSet(shape, entries)
     global_purity = data.get("global_purity")
     subject = "marginal file: 'global_purity'"
     if global_purity is not None:
-        if not _all_of([global_purity], (int, float)):
-            raise ValueError(f"{subject} must be a number")
         # Checked here, so a flag that overrides the field does not hide a bad one.
-        try:
-            global_purity = checked_global_purity(marginals, global_purity, subject)
-        except OverflowError:  # an integer beyond double range
-            raise ValueError(f"{subject} must be a finite number") from None
+        global_purity = checked_global_purity(marginals, global_purity, subject)
     return marginals, global_purity
 
 

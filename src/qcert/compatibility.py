@@ -15,6 +15,7 @@ defaulted to the compatibility-friendliest value 1 when unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -99,11 +100,16 @@ class CompatReport:
 def checked_global_purity(marginals: MarginalSet, g, subject: str) -> float:
     """``g`` as a float, once it is a possible global purity of ``marginals``.
 
-    It must lie in [1/D, 1] and match the purity of a full-set marginal, when
-    the set holds one, both within TOL_INPUT. ``subject`` names the value in
-    the error message.
+    The one global-purity check: ``g`` must be a real number, not a bool (numpy
+    numbers pass), finite as a float, in [1/D, 1], and within TOL_INPUT of the
+    purity of a full-set marginal, if any. It raises ``ValueError`` naming ``subject``.
     """
-    g = float(g)
+    if isinstance(g, bool) or not isinstance(g, Real):
+        raise ValueError(f"{subject} must be a number")
+    try:
+        g = float(g)
+    except OverflowError:  # an integer beyond double range
+        raise ValueError(f"{subject} must be a finite number") from None
     lowest = 1.0 / marginals.shape.total_dim
     if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
         raise ValueError(f"{subject} must lie in [1/D, 1] = [{lowest}, 1], got {g}")
@@ -196,22 +202,19 @@ def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:
 
     For keys A strictly inside B, the B-marginal traced down to A must match
     the provided A-marginal entrywise within TOL_INPUT. Redundant entries are
-    legitimate inputs; this check is how they earn their keep.
+    legitimate inputs; this check is how they earn their keep. Only later keys
+    in (size, mask) order can be strict supersets.
     """
     keys = sorted(marginals.entries, key=lambda m: (m.cardinality, m.bits))
     out: list[MarginalMismatch] = []
-    for small in keys:
-        for big in keys:
-            if small == big or small.bits & big.bits != small.bits:
+    for i, small in enumerate(keys):
+        for big in keys[i + 1:]:
+            if small.bits & ~big.bits:
                 continue
-            big_parties = big.parties
-            rel = SubsetMask.from_parties(
-                (big_parties.index(p) for p in small.parties), big.cardinality
-            )
-            reduced = partial_trace(marginals.entries[big], rel)
-            dev = float(
-                np.max(np.abs(reduced.entries - marginals.entries[small].entries))
-            )
+            # Bit k of rel is set when the k-th party of big is in small.
+            rel = sum(1 << k for k, p in enumerate(big.parties) if small.bits >> p & 1)
+            reduced = partial_trace(marginals.entries[big], SubsetMask(rel, big.cardinality))
+            dev = float(np.max(np.abs(reduced.entries - marginals.entries[small].entries)))
             if dev > TOL_INPUT:
                 out.append(MarginalMismatch(small, big, dev))
     return out
@@ -220,10 +223,10 @@ def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:
 def self_check(rho: Operator) -> CompatReport:
     """Certificate of a known global state against its own marginals.
 
-    Runs the even-N certificate with the true global purity; any valid state
-    must come out with nonnegative slack up to numerics.
+    Validates ``rho``, then runs the even-N certificate with the true global
+    purity; any valid state must come out with nonnegative slack up to numerics.
     """
     if rho.shape.n_parties % 2 == 1:
         raise ValueError("this certificate requires an even party count")
-    marginals = MarginalSet.from_global(rho)
-    return theorem2_check(marginals, global_purity=purity(rho))
+    _require_density(rho, "self_check needs a valid density matrix")
+    return theorem2_check(MarginalSet.from_global(rho), global_purity=purity(rho))

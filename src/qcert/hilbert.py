@@ -189,7 +189,8 @@ def partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
     t = rho.entries.reshape(dims + dims)
     # Repeated einsum labels on row/column axes trace out the dropped parties.
     labels = list(range(n)) + [n + p if keep.contains(p) else p for p in range(n)]
-    out_labels = [p for p in keep.parties] + [n + p for p in keep.parties]
+    kept = keep.parties
+    out_labels = [*kept, *(n + p for p in kept)]
     reduced = np.einsum(t, labels, out_labels)
     sub = rho.shape.subshape(keep)
     d = sub.total_dim

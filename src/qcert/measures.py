@@ -84,7 +84,8 @@ def purity_table(state: PureState | Operator) -> list[float]:
     """Tr rho_A^2 of every subset A of the parties, indexed by mask bits.
 
     Entry 0 is the squared trace of the whole state and the last entry its
-    global purity. Operators go through ``partial_trace``. A pure state calls
+    global purity. An operator is taken as given, not checked as a density
+    matrix, and goes through ``partial_trace``. A pure state calls
     ``marginal_purity`` once per cut, on the masks with 2|A| <= N in ascending
     order; every other entry copies its complement's value, which
     ``marginal_purity`` computes from the same smaller side, so the copy is

@@ -98,7 +98,8 @@ def disorder_check(rho: PureState | Operator) -> DisorderReport:
 
     lhs sums D(rho_A) = 1 - Tr rho_A^2 over nonempty even subsets including
     the full set; rhs sums it over odd subsets. A pure state is read through
-    its marginals without forming the global density.
+    its marginals without forming the global density; an operator is taken as
+    given, not checked as a density matrix.
     """
     if rho.shape.n_parties % 2 == 1:
         raise ValueError("disorder relation requires an even party count")

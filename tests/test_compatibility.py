@@ -16,6 +16,7 @@ from qcert import (
     consistency_precheck,
     entanglement_E_subset_sum,
     ghz_state,
+    partial_trace,
     product_state,
     purity,
     random_mixed,
@@ -129,6 +130,19 @@ class TestConsistencyPrecheck:
         assert all(v.max_deviation > 1e-3 for v in violations)
         assert all(v.subset == mask([0], 3) for v in violations)
 
+    def test_traces_each_nested_pair_once(self, monkeypatch):
+        # 4 singles x 6 supersets + 6 pairs x 2 supersets among 14 proper marginals.
+        calls = []
+
+        def counted(rho, keep):
+            calls.append(keep)
+            return partial_trace(rho, keep)
+
+        marginals = MarginalSet.from_global(random_mixed(SpaceShape((2, 2, 2, 2)), 3, 15))
+        monkeypatch.setattr("qcert.compatibility.partial_trace", counted)
+        assert consistency_precheck(marginals) == []
+        assert len(calls) == 36
+
 
 class TestSelfCheck:
     def test_ghz4_slack(self):
@@ -148,6 +162,17 @@ class TestSelfCheck:
     def test_rejects_odd_party_count(self):
         with pytest.raises(ValueError, match="even"):
             self_check(random_mixed(SpaceShape((2, 2, 2)), 2, 0))
+
+    def test_rejects_a_matrix_that_is_not_a_density_matrix(self):
+        # Every proper marginal is I/2^k, valid, but the global matrix is not.
+        zzzz = np.diag([(-1.0) ** bin(i).count("1") for i in range(16)])
+        rho = Operator(SpaceShape((2, 2, 2, 2)), np.eye(16) / 16 + 0.1 * zzzz)
+        with pytest.raises(ValueError) as err:
+            self_check(rho)
+        assert str(err.value) == (
+            "self_check needs a valid density matrix: hermiticity deviation 0, "
+            "trace deviation 0, min eigenvalue -0.0375 (tol 1e-08)"
+        )
 
 
 class TestMarginalSetValidation:
@@ -217,6 +242,23 @@ class TestGlobalPurityInput:
             theorem2_check(marginals, 1.0)
         with pytest.raises(ValueError, match=r"purity 1\.0 .*purity 0\.25"):
             theorem1_check(marginals)
+
+    @pytest.mark.parametrize("value, message", [
+        *((v, "global purity must be a number") for v in ("0.5", True, False, [0.5], 0.5j)),
+        (10**400, "global purity must be a finite number"),
+    ])
+    def test_value_that_is_not_a_finite_real_number_rejected(self, value, message):
+        marginals = MarginalSet.from_global(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
+        with pytest.raises(ValueError) as err:
+            theorem2_check(marginals, value)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), 1, np.int64(1)])
+    def test_numpy_and_integer_values_accepted(self, value):
+        marginals = MarginalSet.from_global(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
+        rep = theorem2_check(marginals, value)
+        assert rep.assumed_global_purity == float(value)
+        assert type(rep.assumed_global_purity) is float
 
     def test_pure_claim_agrees_with_pure_full_marginal(self):
         rho = w_state(4).density()

@@ -382,6 +382,19 @@ class TestStructuralRejections:
         message = error_of(capsys, "measure", "--state", path)
         assert message == "state file: 'vector' must hold 2 [re, im] pairs"
 
+    def test_tuple_pair_is_rejected(self):
+        # Decoded JSON holds lists only; a tuple pair is not an input format.
+        matrix = with_cell((0.0, 0.0))
+        with pytest.raises(ValueError) as err:
+            _parse_pairs(matrix, (2, 2), "state file")
+        assert str(err.value) == PAIR_MESSAGE
+        docs = [{"dims": [2], "kind": "mixed", "matrix": matrix},
+                {"dims": [2], "kind": "pure", "vector": [[1.0, 0.0], (0.0, 0.0)]}]
+        for doc in docs:
+            with pytest.raises(ValueError) as err:
+                parse_state_dict(doc)
+            assert str(err.value) == PAIR_MESSAGE
+
 
 class TestHugeIntegers:
     def test_vector_cell_is_non_finite(self):

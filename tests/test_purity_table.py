@@ -50,6 +50,7 @@ from qcert import (
 from qcert.compatibility import _certificate
 from qcert.monogamy import _submasks
 from qcert.observables import all_patterns, expectation_pure
+from qcert.oracle import NAIVE_TRACE_MAX_DIM, naive_partial_trace
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
@@ -284,6 +285,21 @@ class TestTable:
         full = len(table) - 1
         for bits in range(len(table)):
             assert abs(table[bits] - table[full ^ bits]) <= 1e-12
+
+    @SETTINGS
+    @given(shapes(max_dim=NAIVE_TRACE_MAX_DIM), seeds)
+    def test_complement_symmetry_against_the_oracle(self, shape, seed):
+        # P[A] = P[complement of A] for a pure state, each side traced on its own
+        # by the oracle's index loops rather than read from the table.
+        psi = random_pure(shape, seed)
+        n = shape.n_parties
+        full = (1 << n) - 1
+        naive = [purity(naive_partial_trace(psi.density(), SubsetMask(bits, n)))
+                 for bits in range(full + 1)]
+        table = purity_table(psi)
+        for bits in range(full + 1):
+            assert abs(naive[bits] - table[bits]) <= 1e-12
+            assert abs(naive[full ^ bits] - table[bits]) <= 1e-12
 
     @SETTINGS
     @given(st.data(), shapes(), seeds)

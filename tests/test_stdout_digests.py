@@ -122,6 +122,12 @@ JOBS = {
     "compat-not-density": (
         ("compat", "--marginals", "{not_density_marginal}"), 2,
         "56aea5dc2567408ce34dc5cafb9cbe6be12a42d10744f93564e368a25acc8f29"),
+    "compat-mismatch": (  # 12 consistency violations, in (size, mask) order
+        ("compat", "--marginals", "{mismatch}"), 0,
+        "66dbb167e29fbaf414ecf8daa92dca293f9caaee6f30b7cb7ca985367dad9365"),
+    "compat-global-purity-string": (
+        ("compat", "--marginals", "{global_purity_string}"), 2,
+        "46a1f2d6593bfa5d623ed9734259a8c4a5a6b4a9387b2b0ca575b6a38c7429af"),
 }
 
 
@@ -134,6 +140,12 @@ def paths(tmp_path_factory) -> dict[str, str]:
     docs["full"] = marginal_file_dict(rho.shape, entries, purity(rho))
     del entries[SubsetMask.from_parties((0, 2), 4)]
     docs["missing"] = marginal_file_dict(rho.shape, entries)
+    docs["global_purity_string"] = {**docs["full"], "global_purity": "0.5"}
+    mismatched = dict(MarginalSet.from_global(rho).entries)
+    for party in (0, 2):
+        mismatched[SubsetMask.from_parties((party,), 4)] = Operator(
+            SpaceShape((2,)), np.eye(2) / 2)
+    docs["mismatch"] = marginal_file_dict(rho.shape, mismatched)
     docs["not_density"] = state_file_dict(NOT_DENSITY)
     docs["not_density_marginal"] = marginal_file_dict(
         SpaceShape((2, 2)), {SubsetMask(1, 2): NOT_DENSITY_MARGINAL})
