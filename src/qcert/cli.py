@@ -201,7 +201,10 @@ def parse_state_dict(data) -> PureState | Operator:
     if kind == "pure":
         _check_keys(data, ("dims", "kind", "vector"), "state file")
         amp = _parse_pairs(data.get("vector"), (shape.total_dim,), "state file")
-        return PureState(shape, amp)
+        try:
+            return PureState(shape, amp)
+        except ValueError as exc:  # the norm check
+            raise ValueError(f"state file: {exc}") from None
     if kind == "mixed":
         _check_keys(data, ("dims", "kind", "matrix"), "state file")
         side = shape.total_dim

@@ -3,8 +3,9 @@
 Doubled-space layout is copy-major: all N parties of copy 1 first, then all
 N parties of copy 2, so the projector pair for party i acts on tensor factor
 positions (i, N+i). Expectations on states are evaluated by applying the
-per-party (I +- SWAP)/2 contractions directly to the doubled vector; explicit
-doubled operators exist only for small systems and for auditing.
+per-party (I +- SWAP)/2 contractions directly to the doubled vector, in place
+between two buffers of D^2 entries; explicit doubled operators exist only for
+small systems and for auditing.
 
 A sign pattern is the ``SubsetMask`` of the parties that carry the
 antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
@@ -69,15 +70,23 @@ def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
 
 
 def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims) -> np.ndarray:
-    return np.kron(amp_left, amp_right).reshape(dims + dims)
+    """kron(amp_left, amp_right) shaped dims + dims: the one multiply np.kron runs for vectors."""
+    return (amp_left[:, None] * amp_right[None, :]).reshape(dims + dims)
 
 
 def _apply_pair_projectors(tensor: np.ndarray, pattern: SubsetMask) -> np.ndarray:
+    """Apply every party's pair projector; ``tensor`` is overwritten.
+
+    Each step is 0.5 * (work -+ swapped), written into the other of two
+    buffers, ``tensor`` and one spare, so the returned array is one of them.
+    """
     n = pattern.n_parties
-    work = tensor
+    work, spare = tensor, np.empty_like(tensor)
     for i in range(n):
-        swapped = np.swapaxes(work, i, n + i)
-        work = 0.5 * (work - swapped) if pattern.contains(i) else 0.5 * (work + swapped)
+        op = np.subtract if pattern.contains(i) else np.add
+        op(work, np.swapaxes(work, i, n + i), out=spare)
+        np.multiply(0.5, spare, out=spare)
+        work, spare = spare, work
     return work
 
 
@@ -108,8 +117,9 @@ def _expectation_from_eigs(vals, vecs, dims, pattern: SubsetMask) -> float:
             weight = vals[k] * vals[l]
             if weight == 0.0:
                 continue
+            # The kernel overwrites its input, so phi is built again for the vdot.
+            work = _apply_pair_projectors(_doubled_tensor(vecs[:, k], vecs[:, l], dims), pattern)
             phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims)
-            work = _apply_pair_projectors(phi, pattern)
             total += weight * float(np.vdot(phi, work).real)
     return total
 

@@ -555,6 +555,14 @@ class TestNonFiniteInput:
         assert message == "marginal file entry 0: matrix holds a non-finite number"
 
 
+class TestStateNorm:
+    def test_pure_norm_error_names_the_file(self, tmp_path, capsys):
+        text = '{"dims":[2],"kind":"pure","vector":[[1,0],[1,0]]}'
+        path = write_json(tmp_path, "psi.json", text)
+        message = error_message(*run_cli(capsys, "measure", "--state", path))
+        assert message == "state file: state squared norm 2.0 deviates from 1 beyond 1e-08"
+
+
 class TestGlobalPurityRange:
     def test_below_one_over_d_exits_2(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)

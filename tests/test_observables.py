@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -114,6 +116,21 @@ class TestExpectationPure:
     def test_pattern_length_checked(self):
         with pytest.raises(ValueError):
             expectation_pure(bell_state(), SubsetMask(1, 1))
+
+
+class TestKernelMemory:
+    def test_peak_is_under_two_and_a_half_doubled_buffers(self):
+        psi = random_pure(SpaceShape((2,) * 8), 7)
+        full = psi.shape.full_mask()
+        expectation_pure(psi, full)  # keeps one-time allocations out of the peak
+        tracemalloc.start()
+        try:
+            expectation_pure(psi, full)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        doubled_buffer = 16 * psi.shape.total_dim**2
+        assert peak < 2.5 * doubled_buffer
 
 
 class TestExpectationMixed:

@@ -12,20 +12,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcert import (
     Operator,
     SpaceShape,
+    SubsetMask,
     all_patterns,
     expectation_mixed,
+    expectation_pure,
     naive_expectation,
+    normal_stream,
     observable,
     random_mixed,
+    random_pure,
 )
 from qcert.hilbert import _permute_matrix_factors
-from qcert.observables import swap_matrix
+from qcert.observables import _doubled_tensor, swap_matrix
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
@@ -144,3 +149,32 @@ class TestBitEqualToStringPatterns:
         for pattern in all_patterns(shape.n_parties):
             ref = ref_naive_expectation(pair, signs_of(pattern))
             assert_same_float(naive_expectation(pair, pattern), ref)
+
+
+class TestBitEqualAtBenchmarkSizes:
+    """The pins above stop at D <= 36; these reach the sizes the benchmark runs."""
+
+    @pytest.mark.parametrize("n, seed", [(8, 3), (9, 5)])
+    def test_expectation_pure(self, n, seed):
+        psi = random_pure(SpaceShape((2,) * n), seed)
+        for pattern in (psi.shape.full_mask(), SubsetMask(0b1011, n)):
+            ref = ref_expectation_from_eigs(
+                [1.0], psi.amplitudes[:, None], psi.shape.dims, signs_of(pattern)
+            )
+            assert_same_float(expectation_pure(psi, pattern), ref)
+
+    def test_expectation_mixed(self):
+        rho = random_mixed(SpaceShape((2, 2, 2, 3, 3)), 2, 13)
+        pattern = SubsetMask(0b10110, 5)
+        ref = ref_expectation_mixed(rho, signs_of(pattern))
+        assert_same_float(expectation_mixed(rho, pattern), ref)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 16, 72, 256, 1024])
+    def test_doubled_tensor_is_kron(self, length):
+        z = normal_stream(length, 6 * length)
+        vecs = (z[0::2] + 1j * z[1::2]).reshape(length, 3)
+        u, v, w = (vecs[:, k] for k in range(3))  # strided column views
+        for a, b in [(u, v), (w, w), (u.copy(), v.copy()), (v.copy(), w)]:
+            doubled = _doubled_tensor(a, b, (length,))
+            assert doubled.shape == (length, length)
+            assert doubled.ravel().tobytes() == np.kron(a, b).tobytes()
