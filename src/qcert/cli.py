@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import ROUTES, TOL_INPUT, TOL_ROUTE, TOL_VERDICT
-from .hilbert import Operator, PureState, SpaceShape, SubsetMask, _require_density
+from .hilbert import Operator, PureState, SpaceShape, SubsetMask, _operator_side, _require_density
 
 # The other modules are imported inside the commands that run them, so a
 # command loads only its own share of the package.
@@ -207,7 +207,7 @@ def parse_state_dict(data) -> PureState | Operator:
             raise ValueError(f"state file: {exc}") from None
     if kind == "mixed":
         _check_keys(data, ("dims", "kind", "matrix"), "state file")
-        side = shape.total_dim
+        side = _operator_side(shape)
         mat = _parse_pairs(data.get("matrix"), (side, side), "state file")
         op = Operator(shape, mat)
         _require_density(op, "state file: not a density matrix")
@@ -282,12 +282,12 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         if mask in entries:
             raise ValueError(f"{where}: duplicate marginal for parties {parties}")
         sub = shape.subshape(mask)
-        mat = _parse_pairs(item.get("matrix"), (sub.total_dim,) * 2, where)
+        mat = _parse_pairs(item.get("matrix"), (_operator_side(sub),) * 2, where)
         entries[mask] = Operator(sub, mat)
     marginals = MarginalSet(shape, entries)
     global_purity = data.get("global_purity")
     subject = "marginal file: 'global_purity'"
-    if global_purity is not None:
+    if "global_purity" in data:  # a null is checked too, and is not a number
         # Checked here, so a flag that overrides the field does not hide a bad one.
         global_purity = checked_global_purity(marginals, global_purity, subject)
     return marginals, global_purity

@@ -1,8 +1,6 @@
-"""Shared tolerances, dimension caps and the names of the measure routes."""
+"""Fixed tolerances, dimension caps and measure-route names; no option changes them."""
 
 from __future__ import annotations
-
-import os
 
 # Validation of user-supplied matrices (absorbs I/O noise).
 TOL_INPUT = 1e-8
@@ -11,27 +9,10 @@ TOL_ROUTE = 1e-8
 # Slack threshold below which a certificate reports a violation.
 TOL_VERDICT = 1e-9
 
-DEFAULT_OPERATOR_DIM_CAP = 4096
+# Largest side D of a materialized D x D operator, checked before the array is built.
+OPERATOR_DIM_CAP = 4096
+# Largest length of a state vector, the doubled two-copy vector and a purification.
 VECTOR_DIM_CAP = 1 << 20
-
-CAP_ENV_VAR = "QCERT_MAX_DIM"
 
 # The routes of ``measures.measure_all``; here so the CLI parser needs no measures import.
 ROUTES = ("partitions", "projector", "subset-sum", "all", "oracle")
-
-
-def operator_dim_cap() -> int:
-    """Largest allowed side of a materialized operator.
-
-    Overridable through the QCERT_MAX_DIM environment variable.
-    """
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_OPERATOR_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise ValueError(f"{CAP_ENV_VAR} must be >= 2, got {cap}")
-    return cap

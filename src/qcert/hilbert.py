@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_INPUT, VECTOR_DIM_CAP, operator_dim_cap
+from .config import OPERATOR_DIM_CAP, TOL_INPUT, VECTOR_DIM_CAP
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,26 @@ class SubsetMask:
         return SubsetMask(self.bits ^ ((1 << self.n_parties) - 1), self.n_parties)
 
 
+def _operator_side(shape: SpaceShape) -> int:
+    """Side D of an operator on ``shape``; every D x D array is built after this check."""
+    d = shape.total_dim
+    if d > OPERATOR_DIM_CAP:
+        raise ValueError(f"operator side {d} exceeds the operator cap {OPERATOR_DIM_CAP}")
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A dense complex square matrix tagged with its composite shape."""
+    """A dense complex square matrix tagged with its composite shape; side <= OPERATOR_DIM_CAP."""
 
     shape: SpaceShape
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        d = _operator_side(self.shape)
         m = np.array(self.entries, dtype=complex)
-        d = self.shape.total_dim
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
-        cap = operator_dim_cap()
-        if d > cap:
-            raise ValueError(f"operator side {d} exceeds the operator cap {cap}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -156,12 +161,14 @@ class PureState:
         object.__setattr__(self, "amplitudes", a)
 
     def density(self) -> Operator:
+        _operator_side(self.shape)
         return Operator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product with ``a``'s parties preceding ``b``'s."""
     shape = SpaceShape(a.shape.dims + b.shape.dims)
+    _operator_side(shape)
     return Operator(shape, np.kron(a.entries, b.entries))
 
 

@@ -22,6 +22,7 @@ from .hilbert import (
     SpaceShape,
     SubsetMask,
     _check_mask,
+    _operator_side,
     _permute_matrix_factors,
 )
 
@@ -43,20 +44,23 @@ def pair_projector(d: int, antisymmetric: bool) -> Operator:
     """(I - SWAP)/2 when ``antisymmetric``, else (I + SWAP)/2, on two copies of C^d."""
     if d < 2:
         raise ValueError("pair_projector needs dimension >= 2")
-    eye = np.eye(d * d)
+    shape = SpaceShape((d, d))
+    eye = np.eye(_operator_side(shape))
     swap = swap_matrix(d)
     mat = (eye - swap) / 2.0 if antisymmetric else (eye + swap) / 2.0
-    return Operator(SpaceShape((d, d)), mat)
+    return Operator(shape, mat)
 
 
 def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
     """Explicit tensor product of per-party pair projectors on the doubled space.
 
     The result acts on the copy-major layout (all parties of copy 1, then all
-    of copy 2). Memory scales as D^4; large systems must use the contraction
-    routes instead.
+    of copy 2). Its side D^2 must be within ``OPERATOR_DIM_CAP`` (D <= 64), checked
+    before any matrix is built; larger systems use the contraction routes.
     """
     _check_mask(shape, pattern)
+    doubled = SpaceShape(shape.dims + shape.dims)
+    _operator_side(doubled)
     mat = np.eye(1)
     interleaved: tuple[int, ...] = ()
     for i, d in enumerate(shape.dims):
@@ -66,7 +70,7 @@ def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
     # Built factor order is (0c1, 0c2, 1c1, 1c2, ...); reorder to copy-major.
     new_from_old = tuple(2 * k for k in range(n)) + tuple(2 * k + 1 for k in range(n))
     mat = _permute_matrix_factors(mat, interleaved, new_from_old)
-    return Operator(SpaceShape(shape.dims + shape.dims), mat)
+    return Operator(doubled, mat)
 
 
 def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims) -> np.ndarray:

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .hilbert import Operator, PureState, SpaceShape, _require_density
+from .config import VECTOR_DIM_CAP
+from .hilbert import Operator, PureState, SpaceShape, _operator_side, _require_density
 
 
 def _qubits(n: int) -> SpaceShape:
@@ -86,10 +87,15 @@ def random_pure(shape: SpaceShape, seed: int) -> PureState:
 
 
 def random_mixed(shape: SpaceShape, rank: int, seed: int) -> Operator:
-    """Density matrix from tracing a rank-dimensional ancilla off a random pure state."""
-    d = shape.total_dim
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must be in 1..{d}, got {rank}")
+    """Density matrix from tracing a rank-dimensional ancilla off a random pure state.
+
+    D is capped first; rank runs over 1..min(D, VECTOR_DIM_CAP // D), the D * rank
+    amplitudes of the purification being within the state cap.
+    """
+    d = _operator_side(shape)
+    top = min(d, VECTOR_DIM_CAP // d)
+    if not 1 <= rank <= top:
+        raise ValueError(f"rank must be in 1..{top}, got {rank}")
     if rank == 1:
         return random_pure(shape, seed).density()
     ext = SpaceShape(shape.dims + (rank,))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from qcert import PureState, SpaceShape, SubsetMask, normal_stream
@@ -26,3 +28,19 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 
 def max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the bytes traced while it ran.
+
+    A ``ValueError`` is returned, not raised, so a rejected call's peak is read too.
+    """
+    tracemalloc.start()
+    try:
+        try:
+            result = call(*args)
+        except ValueError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from qcert import (
     MarginalSet,
     Operator,
@@ -82,6 +83,26 @@ class TestSample:
         assert code == 0
         rho = parse_state_dict(json.loads(out.read_text()))
         assert purity(rho) < 1.0 - 1e-3
+
+    @pytest.mark.parametrize(
+        "dims, rank_args, message",
+        [
+            ("2,2", ["--rank", "5"], "rank must be in 1..4, got 5"),
+            # D = 2048: the default rank D would make a purification of 2^22 amplitudes.
+            (",".join(["2"] * 11), [], "rank must be in 1..512, got 2048"),
+        ],
+        ids=["D=4", "D=2048"],
+    )
+    def test_mixed_rank_out_of_range(self, capsys, dims, rank_args, message):
+        code, out = run_cli(capsys, "sample", "--dims", dims, "--kind", "mixed", *rank_args)
+        assert error_message(code, out) == message
+
+    def test_mixed_over_the_operator_cap_exits_2_before_allocating(self, capsys):
+        argv = ["sample", "--dims", "2,2049", "--kind", "mixed", "--rank", "1"]
+        code, peak = traced_peak(main, argv)
+        assert peak < 4 << 20
+        message = error_message(code, capsys.readouterr().out)
+        assert message == "operator side 4098 exceeds the operator cap 4096"
 
     def test_rank_rejected_for_pure(self, capsys):
         code, out = run_cli(capsys, "sample", "--dims", "2,2", "--rank", "2")
@@ -600,6 +621,22 @@ class TestFileGlobalPurityAlwaysChecked:
     def message(self, value):
         return f"marginal file: 'global_purity' must lie in [1/D, 1] = [0.25, 1], got {value}"
 
+    def test_null_is_not_a_number(self, tmp_path, capsys):
+        message = "marginal file: 'global_purity' must be a number"
+        with pytest.raises(ValueError) as info:
+            parse_marginal_dict(self.doc(None))
+        assert str(info.value) == message
+        path = write_json(tmp_path, "m.json", json.dumps(self.doc(None)))
+        assert error_message(*run_cli(capsys, "compat", "--marginals", path)) == message
+
+    def test_absent_field_assumes_the_best_case(self, tmp_path, capsys):
+        doc = self.doc(None)
+        del doc["global_purity"]
+        path = write_json(tmp_path, "m.json", json.dumps(doc))
+        code, out = run_cli(capsys, "compat", "--marginals", path)
+        assert code == 0
+        assert json.loads(out)["assumed_global_purity"] == "best-case"
+
     @pytest.mark.parametrize("value", VALUES, ids=str)
     def test_parser_rejects(self, value):
         with pytest.raises(ValueError) as info:
@@ -615,6 +652,26 @@ class TestFileGlobalPurityAlwaysChecked:
         path = write_json(tmp_path, "m.json", json.dumps(self.doc(value)))
         message = error_message(*run_cli(capsys, "compat", "--marginals", path, *flag))
         assert message == self.message(value)
+
+
+class TestOperatorCapInFiles:
+    """A matrix side over the operator cap is reported before the matrix is read."""
+
+    MESSAGE = "operator side 4098 exceeds the operator cap 4096"
+
+    def test_mixed_state_file(self, tmp_path, capsys):
+        doc = {"dims": [2, 2049], "kind": "mixed", "matrix": []}
+        with pytest.raises(ValueError) as info:
+            parse_state_dict(doc)
+        assert str(info.value) == self.MESSAGE
+        path = write_json(tmp_path, "s.json", json.dumps(doc))
+        assert error_message(*run_cli(capsys, "disorder", "--state", path)) == self.MESSAGE
+
+    def test_marginal_file_entry(self):
+        doc = {"dims": [2, 2049], "marginals": [{"parties": [0, 1], "matrix": []}]}
+        with pytest.raises(ValueError) as info:
+            parse_marginal_dict(doc)
+        assert str(info.value) == self.MESSAGE
 
 
 class TestFullSetMarginal:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, mask, max_abs
+from conftest import bell_state, mask, max_abs, traced_peak
 from qcert import (
     Operator,
     PureState,
@@ -14,6 +14,8 @@ from qcert import (
     SubsetMask,
     apply_local_unitary,
     naive_partial_trace,
+    observable,
+    pair_projector,
     partial_trace,
     permute_parties,
     purity,
@@ -280,13 +282,35 @@ class TestStateHelpers:
         assert max_abs(before.entries, after.entries) < 1e-14
 
 
+# Side 4098, just over the operator cap of 4096; a 4098 x 4098 complex matrix is 269 MB.
+OVER_CAP = SpaceShape((2, 2049))
+SIDE_65 = Operator(SpaceShape((5, 13)), np.eye(65) / 65)
+
+
 class TestCaps:
-    def test_operator_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("QCERT_MAX_DIM", "8")
-        with pytest.raises(ValueError):
-            Operator(SpaceShape((2, 2, 2, 2)), np.eye(16) / 16)
-        monkeypatch.delenv("QCERT_MAX_DIM")
-        Operator(SpaceShape((2, 2, 2, 2)), np.eye(16) / 16)
+    @pytest.mark.parametrize(
+        "call, args, side",
+        [
+            (Operator, (OVER_CAP, np.broadcast_to(np.complex128(0), (4098, 4098))), 4098),
+            (PureState.density, (PureState(OVER_CAP, np.eye(1, 4098)[0]),), 4098),
+            (random_mixed, (OVER_CAP, 1, 0), 4098),
+            (random_mixed, (OVER_CAP, 2, 0), 4098),
+            (tensor, (SIDE_65, SIDE_65), 4225),
+            (observable, (SpaceShape((5, 13)), SubsetMask(0, 2)), 4225),
+            (pair_projector, (65, False), 4225),
+        ],
+        ids=["Operator", "density", "random_mixed-1", "random_mixed-2", "tensor",
+             "observable", "pair_projector"],
+    )
+    def test_operator_cap_is_checked_before_any_allocation(self, call, args, side):
+        error, peak = traced_peak(call, *args)
+        assert isinstance(error, ValueError)
+        assert str(error) == f"operator side {side} exceeds the operator cap 4096"
+        assert peak < 4 << 20
+
+    def test_operator_cap_comes_before_the_shape_check(self):
+        with pytest.raises(ValueError, match="^operator side 4098 exceeds the operator cap 4096$"):
+            Operator(OVER_CAP, np.eye(2))
 
     def test_operator_entries_are_immutable(self):
         op = qubit_op(np.eye(2) / 2)

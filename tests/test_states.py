@@ -142,6 +142,24 @@ class TestSamplers:
         with pytest.raises(ValueError):
             random_mixed(SpaceShape((2, 2)), 5, 0)
 
+    @pytest.mark.parametrize(
+        "dims, rank, top",
+        [((2, 2), 0, 4), ((2,) * 11, 2048, 512), ((2,) * 11, 513, 512)],
+        ids=["D=4-0", "D=2048-2048", "D=2048-513"],
+    )
+    def test_random_mixed_rank_range_message(self, dims, rank, top):
+        # Up to D = 1024 the range is 1..D; above it the purification's D * rank
+        # amplitudes must fit the state cap of 2^20.
+        with pytest.raises(ValueError) as info:
+            random_mixed(SpaceShape(dims), rank, 0)
+        assert str(info.value) == f"rank must be in 1..{top}, got {rank}"
+
+    def test_random_mixed_largest_rank_above_d_1024(self):
+        # D = 1025: the largest rank is 2^20 // 1025 = 1023, just under D.
+        rho = random_mixed(SpaceShape((5, 5, 41)), 1023, 0)
+        assert rho.entries.shape == (1025, 1025)
+        assert abs(np.trace(rho.entries) - 1.0) < 1e-12
+
 
 class TestPurify:
     def test_known_qubit_purification(self):
