@@ -31,7 +31,6 @@ _EXPORTS = {
         "PureState",
         "SpaceShape",
         "SubsetMask",
-        "apply_local_unitary",
         "partial_trace",
         "permute_parties",
         "purity",
@@ -40,16 +39,12 @@ _EXPORTS = {
     ),
     "measures": (
         "MeasureReport",
-        "entanglement_E_partitions",
         "entanglement_E_projector",
         "entanglement_E_subset_sum",
         "i_concurrence_sq",
-        "linear_entropy",
         "marginal_purity",
         "measure_all",
-        "mutual_information",
         "purity_table",
-        "subset_purities",
     ),
     "monogamy": (
         "DisorderReport",
@@ -66,14 +61,12 @@ _EXPORTS = {
         "pair_projector",
         "purity_via_observables",
         "swap_matrix",
-        "swap_subset_expectation",
     ),
     "oracle": ("exhaustive_E", "naive_expectation", "naive_partial_trace"),
     "states": (
         "ghz_state",
         "normal_stream",
         "product_state",
-        "purify",
         "random_mixed",
         "random_pure",
         "w_state",

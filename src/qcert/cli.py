@@ -207,7 +207,7 @@ def parse_state_dict(data) -> PureState | Operator:
             raise ValueError(f"state file: {exc}") from None
     if kind == "mixed":
         _check_keys(data, ("dims", "kind", "matrix"), "state file")
-        side = _operator_side(shape)
+        side = _operator_side(shape.dims)
         mat = _parse_pairs(data.get("matrix"), (side, side), "state file")
         op = Operator(shape, mat)
         _require_density(op, "state file: not a density matrix")
@@ -282,7 +282,7 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
         if mask in entries:
             raise ValueError(f"{where}: duplicate marginal for parties {parties}")
         sub = shape.subshape(mask)
-        mat = _parse_pairs(item.get("matrix"), (_operator_side(sub),) * 2, where)
+        mat = _parse_pairs(item.get("matrix"), (_operator_side(sub.dims),) * 2, where)
         entries[mask] = Operator(sub, mat)
     marginals = MarginalSet(shape, entries)
     global_purity = data.get("global_purity")

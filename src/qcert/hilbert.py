@@ -115,9 +115,13 @@ class SubsetMask:
         return SubsetMask(self.bits ^ ((1 << self.n_parties) - 1), self.n_parties)
 
 
-def _operator_side(shape: SpaceShape) -> int:
-    """Side D of an operator on ``shape``; every D x D array is built after this check."""
-    d = shape.total_dim
+def _operator_side(dims: tuple[int, ...]) -> int:
+    """Side D of an operator on parties ``dims``; every D x D array is built after this check.
+
+    It takes the dims, not a ``SpaceShape``, so a doubled or joined space is
+    checked against this cap before its shape is checked against the state cap.
+    """
+    d = math.prod(map(operator.index, dims))
     if d > OPERATOR_DIM_CAP:
         raise ValueError(f"operator side {d} exceeds the operator cap {OPERATOR_DIM_CAP}")
     return d
@@ -131,7 +135,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        d = _operator_side(self.shape)
+        d = _operator_side(self.shape.dims)
         m = np.array(self.entries, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
@@ -161,15 +165,15 @@ class PureState:
         object.__setattr__(self, "amplitudes", a)
 
     def density(self) -> Operator:
-        _operator_side(self.shape)
+        _operator_side(self.shape.dims)
         return Operator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product with ``a``'s parties preceding ``b``'s."""
-    shape = SpaceShape(a.shape.dims + b.shape.dims)
-    _operator_side(shape)
-    return Operator(shape, np.kron(a.entries, b.entries))
+    dims = a.shape.dims + b.shape.dims
+    _operator_side(dims)
+    return Operator(SpaceShape(dims), np.kron(a.entries, b.entries))
 
 
 def _check_mask(shape: SpaceShape, mask: SubsetMask) -> None:
@@ -279,17 +283,3 @@ def permute_parties(obj: Operator | PureState, new_from_old) -> Operator | PureS
         t = obj.amplitudes.reshape(dims)
         return PureState(new_shape, np.transpose(t, perm).reshape(-1))
     return Operator(new_shape, _permute_matrix_factors(obj.entries, dims, perm))
-
-
-def apply_local_unitary(psi: PureState, party: int, u: np.ndarray) -> PureState:
-    """Apply a single-party operator ``u`` to ``party`` of a pure state."""
-    dims = psi.shape.dims
-    if not 0 <= party < len(dims):
-        raise ValueError(f"party index {party} out of range")
-    u = np.asarray(u, dtype=complex)
-    d = dims[party]
-    if u.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} matrix for party {party}, got {u.shape}")
-    t = psi.amplitudes.reshape(dims)
-    t = np.moveaxis(np.tensordot(u, t, axes=([1], [party])), 0, party)
-    return PureState(psi.shape, t.reshape(-1))

@@ -1,4 +1,4 @@
-"""Linear-entropy quantities and the multipartite measure E via three routes.
+"""The multipartite measure E via three routes, read from one subset purity table.
 
 For an even number of parties the measure is the signed sum of bipartite
 mutual informations over the two partition classes (both blocks odd minus
@@ -37,21 +37,6 @@ ODD_N_ERROR = "partition classes undefined for odd N"
 def _require_even(n: int) -> None:
     if n % 2 == 1:
         raise ValueError(ODD_N_ERROR)
-
-
-def linear_entropy(rho: Operator) -> float:
-    """1 - Tr rho^2."""
-    return 1.0 - purity(rho)
-
-
-def mutual_information(rho_ab: Operator, split: SubsetMask) -> float:
-    """Linear-entropy mutual information S_A + S_B - S_AB for a bipartition."""
-    _check_mask(rho_ab.shape, split)
-    if split.is_empty or split.is_full:
-        raise ValueError("split must be a nonempty proper subset")
-    s_a = linear_entropy(partial_trace(rho_ab, split))
-    s_b = linear_entropy(partial_trace(rho_ab, split.complement()))
-    return s_a + s_b - linear_entropy(rho_ab)
 
 
 def marginal_purity(psi: PureState, subset: SubsetMask) -> float:
@@ -127,11 +112,6 @@ def _proper_purities(table: list[float]) -> dict[SubsetMask, float]:
     return {SubsetMask(bits, n): table[bits] for bits in range(1, len(table) - 1)}
 
 
-def subset_purities(psi: PureState) -> dict[SubsetMask, float]:
-    """Marginal purities of every nonempty proper subset, in ascending mask order."""
-    return _proper_purities(purity_table(psi))
-
-
 def _e_partitions(table: list[float]) -> float:
     # Block a holds party 0; both blocks are odd (class P_I) exactly when |a| is.
     full = len(table) - 1
@@ -140,12 +120,6 @@ def _e_partitions(table: list[float]) -> float:
         (a, (1.0 - table[a]) + (1.0 - table[full ^ a]) - s_global)
         for a in range(1, full, 2)
     )
-
-
-def entanglement_E_partitions(psi: PureState) -> float:
-    """E as the signed sum of bipartite mutual informations over partition classes."""
-    _require_even(psi.shape.n_parties)
-    return _e_partitions(purity_table(psi))
 
 
 def entanglement_E_projector(psi: PureState) -> float:

@@ -1,4 +1,4 @@
-"""Two-copy projector observables and swap-trick expectation values.
+"""Two-copy projector observables and their expectation values.
 
 Doubled-space layout is copy-major: all N parties of copy 1 first, then all
 N parties of copy 2, so the projector pair for party i acts on tensor factor
@@ -44,11 +44,10 @@ def pair_projector(d: int, antisymmetric: bool) -> Operator:
     """(I - SWAP)/2 when ``antisymmetric``, else (I + SWAP)/2, on two copies of C^d."""
     if d < 2:
         raise ValueError("pair_projector needs dimension >= 2")
-    shape = SpaceShape((d, d))
-    eye = np.eye(_operator_side(shape))
+    eye = np.eye(_operator_side((d, d)))
     swap = swap_matrix(d)
     mat = (eye - swap) / 2.0 if antisymmetric else (eye + swap) / 2.0
-    return Operator(shape, mat)
+    return Operator(SpaceShape((d, d)), mat)
 
 
 def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
@@ -59,8 +58,7 @@ def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
     before any matrix is built; larger systems use the contraction routes.
     """
     _check_mask(shape, pattern)
-    doubled = SpaceShape(shape.dims + shape.dims)
-    _operator_side(doubled)
+    _operator_side(shape.dims + shape.dims)
     mat = np.eye(1)
     interleaved: tuple[int, ...] = ()
     for i, d in enumerate(shape.dims):
@@ -70,7 +68,7 @@ def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
     # Built factor order is (0c1, 0c2, 1c1, 1c2, ...); reorder to copy-major.
     new_from_old = tuple(2 * k for k in range(n)) + tuple(2 * k + 1 for k in range(n))
     mat = _permute_matrix_factors(mat, interleaved, new_from_old)
-    return Operator(doubled, mat)
+    return Operator(SpaceShape(shape.dims + shape.dims), mat)
 
 
 def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims) -> np.ndarray:
@@ -152,16 +150,3 @@ def purity_via_observables(rho: Operator) -> float:
         if pattern.is_odd:
             total += expectation_mixed(rho, pattern)
     return 1.0 - 2.0 * total
-
-
-def swap_subset_expectation(psi: PureState, subset: SubsetMask) -> float:
-    """<psi x psi| SWAP_A |psi x psi>, i.e. the purity of the A-marginal."""
-    _check_mask(psi.shape, subset)
-    _check_doubled_cap(psi.shape)
-    dims = psi.shape.dims
-    n = len(dims)
-    phi = _doubled_tensor(psi.amplitudes, psi.amplitudes, dims)
-    work = phi
-    for p in subset.parties:
-        work = np.swapaxes(work, p, n + p)
-    return float(np.vdot(phi, work).real)

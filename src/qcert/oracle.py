@@ -4,8 +4,9 @@ These paths exist to mint expected values and to cross-validate the fast
 routes, so they deliberately avoid the reshaping and contraction tricks used
 elsewhere: partial traces run as explicit nested index loops, purities as
 explicit double sums, and two-copy expectations through fully materialized
-observables. They are part of the library (not test-only code) so results
-can be audited from the command line.
+observables. They ship with the package, unlike the audit helpers kept with
+the tests, because ``qcert measure --route oracle`` runs ``exhaustive_E``, so
+a value can be audited from the command line.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Named multipartite states, seeded samplers, and purification.
+"""Named multipartite states and seeded samplers.
 
 Sampling is reproducible across platforms and languages: see
 ``normal_stream`` for the documented generator construction. Samplers take
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .config import VECTOR_DIM_CAP
-from .hilbert import Operator, PureState, SpaceShape, _operator_side, _require_density
+from .hilbert import Operator, PureState, SpaceShape, _operator_side
 
 
 def _qubits(n: int) -> SpaceShape:
@@ -92,7 +92,7 @@ def random_mixed(shape: SpaceShape, rank: int, seed: int) -> Operator:
     D is capped first; rank runs over 1..min(D, VECTOR_DIM_CAP // D), the D * rank
     amplitudes of the purification being within the state cap.
     """
-    d = _operator_side(shape)
+    d = _operator_side(shape.dims)
     top = min(d, VECTOR_DIM_CAP // d)
     if not 1 <= rank <= top:
         raise ValueError(f"rank must be in 1..{top}, got {rank}")
@@ -102,28 +102,3 @@ def random_mixed(shape: SpaceShape, rank: int, seed: int) -> Operator:
     psi = random_pure(ext, seed)
     m = psi.amplitudes.reshape(d, rank)
     return Operator(shape, m @ m.conj().T)
-
-
-def purify(rho: Operator) -> PureState:
-    """Pure state on shape + ancilla(D) whose ancilla trace reproduces ``rho``.
-
-    Built from the eigendecomposition rho = sum_k lam_k |k><k| as
-    sum_k sqrt(lam_k) |k> |e_k>, with eigenvalues sorted descending, each
-    eigenvector's first nonzero component made real positive, and zero
-    eigenvalues kept so the ancilla dimension is always D.
-    """
-    _require_density(rho, "purify needs a valid density matrix")
-    m = rho.entries
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    order = np.argsort(-vals, kind="stable")
-    vals = np.clip(vals[order], 0.0, None)
-    vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            col *= col[nz[0]].conj() / abs(col[nz[0]])
-    d = rho.shape.total_dim
-    # amp[a*D + k] = sqrt(lam_k) v_k[a]: ancilla appended as the last party.
-    amp = (vecs * np.sqrt(vals)).reshape(-1)
-    return PureState(SpaceShape(rho.shape.dims + (d,)), amp)

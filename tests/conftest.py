@@ -1,4 +1,10 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+``apply_local_unitary``, ``mutual_information`` and ``swap_subset_expectation``
+are audit routes written with numpy alone, apart from the ``PureState``
+constructor, so the tests that compare them with the package's routes share no
+code with those routes.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from qcert import PureState, SpaceShape, SubsetMask, normal_stream
+from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream
 
 
 def mask(parties, n: int) -> SubsetMask:
@@ -24,6 +30,41 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(m)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def apply_local_unitary(psi: PureState, party: int, u: np.ndarray) -> PureState:
+    """``u`` applied to ``party`` of ``psi``, the other parties left alone."""
+    t = np.tensordot(u, psi.amplitudes.reshape(psi.shape.dims), axes=([1], [party]))
+    return PureState(psi.shape, np.moveaxis(t, 0, party).reshape(-1))
+
+
+def mutual_information(rho: Operator, split: SubsetMask) -> float:
+    """Linear-entropy mutual information S_A + S_B - S_AB, S = 1 - Tr rho^2, of A | rest.
+
+    Both marginals come from one transpose of ``rho`` to (A, rest, A, rest) and
+    a trace over an axis pair; each purity is the sum of |entries|^2.
+    """
+    dims = rho.shape.dims
+    n = len(dims)
+    order = split.parties + split.complement().parties
+    d_a = int(np.prod([dims[p] for p in split.parties]))
+    d_b = rho.shape.total_dim // d_a
+    t = rho.entries.reshape(dims + dims).transpose(order + tuple(n + p for p in order))
+    t = t.reshape(d_a, d_b, d_a, d_b)
+    rho_a = np.trace(t, axis1=1, axis2=3)
+    rho_b = np.trace(t, axis1=0, axis2=2)
+    s_a, s_b, s_ab = (1.0 - float(np.sum(np.abs(m) ** 2)) for m in (rho_a, rho_b, rho.entries))
+    return s_a + s_b - s_ab
+
+
+def swap_subset_expectation(psi: PureState, subset: SubsetMask) -> float:
+    """<psi x psi| SWAP_A |psi x psi>, the purity of the A-marginal by the swap trick."""
+    dims = psi.shape.dims
+    phi = np.kron(psi.amplitudes, psi.amplitudes).reshape(dims + dims)
+    swapped = phi
+    for p in subset.parties:
+        swapped = np.swapaxes(swapped, p, len(dims) + p)
+    return float(np.vdot(phi, swapped).real)
 
 
 def max_abs(a, b) -> float:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_unitary
+from conftest import apply_local_unitary, random_unitary
 from qcert import (
     MarginalSet,
     Operator,
@@ -22,18 +22,17 @@ from qcert import (
     corollary1_check,
     corollary1_scan,
     disorder_check,
-    entanglement_E_partitions,
     entanglement_E_projector,
     entanglement_E_subset_sum,
     exhaustive_E,
     expectation_mixed,
     expectation_pure,
     ghz_state,
+    measure_all,
     naive_expectation,
     naive_partial_trace,
     partial_trace,
     permute_parties,
-    apply_local_unitary,
     purity,
     purity_via_observables,
     random_mixed,
@@ -52,7 +51,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def three_routes(psi):
     return (
-        entanglement_E_partitions(psi),
+        measure_all(psi, "partitions").values["partitions"],
         entanglement_E_projector(psi),
         entanglement_E_subset_sum(psi),
     )

@@ -16,9 +16,9 @@ from qcert import (
     MarginalSet,
     Operator,
     SpaceShape,
-    entanglement_E_partitions,
     entanglement_E_subset_sum,
     ghz_state,
+    measure_all,
     purity,
     random_mixed,
     random_pure,
@@ -184,10 +184,8 @@ class TestMeasure:
         doc = json.loads(out)
         assert len(doc["per_subset_purities"]) == 14
         key = route.replace("-", "_")
-        route_fn = {"partitions": entanglement_E_partitions,
-                    "subset_sum": entanglement_E_subset_sum}[key]
         monkeypatch.undo()
-        assert doc["values"][key] == route_fn(psi)
+        assert doc["values"][key] == measure_all(psi, route).values[key]
 
     def test_route_all_skips_the_projector_above_the_doubled_cap(self, tmp_path, capsys):
         # 12 qubits: the doubled vector would hold 2^24 entries, over the 2^20 cap.

@@ -1,26 +1,23 @@
-"""Linear-entropy quantities and the three routes to the measure."""
+"""Linear entropy, mutual information and the three routes to the measure."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import bell_state, mask, random_unitary
+from conftest import apply_local_unitary, bell_state, mask, mutual_information, random_unitary
 from qcert import (
     Operator,
     SpaceShape,
     SubsetMask,
-    apply_local_unitary,
-    entanglement_E_partitions,
     entanglement_E_projector,
     entanglement_E_subset_sum,
     ghz_state,
     i_concurrence_sq,
-    linear_entropy,
     measure_all,
-    mutual_information,
     permute_parties,
     product_state,
+    purity,
     random_pure,
     w_state,
 )
@@ -28,7 +25,7 @@ from qcert import (
 
 def all_routes(psi):
     return (
-        entanglement_E_partitions(psi),
+        measure_all(psi, "partitions").values["partitions"],
         entanglement_E_projector(psi),
         entanglement_E_subset_sum(psi),
     )
@@ -37,16 +34,16 @@ def all_routes(psi):
 class TestEntropies:
     def test_pure_state_has_zero_entropy(self):
         rho = random_pure(SpaceShape((2, 2)), 0).density()
-        assert abs(linear_entropy(rho)) < 1e-12
+        assert abs(1 - purity(rho)) < 1e-12
 
     def test_known_diagonal(self):
         rho = Operator(SpaceShape((2,)), np.diag([2 / 3, 1 / 3]))
-        assert abs(linear_entropy(rho) - 4 / 9) < 1e-15
+        assert abs(1 - purity(rho) - 4 / 9) < 1e-15
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_maximally_mixed_maximizes_mixedness(self, d):
         rho = Operator(SpaceShape((d,)), np.eye(d) / d)
-        assert abs(linear_entropy(rho) - (1 - 1 / d)) < 1e-15
+        assert abs(1 - purity(rho) - (1 - 1 / d)) < 1e-15
 
 
 class TestMutualInformation:
@@ -61,13 +58,6 @@ class TestMutualInformation:
         # Tr rho_0^2 = 5/9, so 2(1 - 5/9) = 8/9.
         val = mutual_information(w_state(3).density(), mask([0], 3))
         assert abs(val - 8 / 9) < 1e-12
-
-    def test_rejects_trivial_split(self):
-        rho = bell_state().density()
-        with pytest.raises(ValueError):
-            mutual_information(rho, SubsetMask(0, 2))
-        with pytest.raises(ValueError):
-            mutual_information(rho, SubsetMask(3, 2))
 
 
 class TestMeasureRoutes:
@@ -109,7 +99,7 @@ class TestMeasureRoutes:
         psi = random_pure(SpaceShape(dims), 5)
         assert abs(entanglement_E_projector(psi)) < 1e-12
         with pytest.raises(ValueError, match="odd"):
-            entanglement_E_partitions(psi)
+            measure_all(psi, "partitions")
         with pytest.raises(ValueError, match="odd"):
             entanglement_E_subset_sum(psi)
 

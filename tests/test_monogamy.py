@@ -13,9 +13,9 @@ from qcert import (
     corollary1_scan,
     disorder_check,
     ghz_state,
-    linear_entropy,
     partial_trace,
     product_state,
+    purity,
     random_mixed,
     random_pure,
     self_check,
@@ -100,7 +100,7 @@ class TestDisorder:
         rep = disorder_check(tensor(a, b))
         # 1 - p1*p2 <= (1 - p1) + (1 - p2) always.
         assert rep.holds
-        expected_lhs = 1.0 - (1 - linear_entropy(a)) * (1 - linear_entropy(b))
+        expected_lhs = 1.0 - purity(a) * purity(b)
         assert abs(rep.lhs - expected_lhs) < 1e-12
 
     def test_two_party_pure_entangled_state(self):
@@ -112,28 +112,28 @@ class TestDisorder:
     def test_two_party_sums_term_for_term(self):
         rho = random_mixed(SpaceShape((2, 3)), 4, 8)
         rep = disorder_check(rho)
-        d1 = linear_entropy(partial_trace(rho, mask([0], 2)))
-        d2 = linear_entropy(partial_trace(rho, mask([1], 2)))
+        d1 = 1 - purity(partial_trace(rho, mask([0], 2)))
+        d2 = 1 - purity(partial_trace(rho, mask([1], 2)))
         assert abs(rep.rhs - (d1 + d2)) < 1e-12
-        assert abs(rep.lhs - linear_entropy(rho)) < 1e-12
+        assert abs(rep.lhs - (1 - purity(rho))) < 1e-12
 
     def test_four_party_sums_term_for_term(self):
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 6, 9)
         rep = disorder_check(rho)
         singles = sum(
-            linear_entropy(partial_trace(rho, mask([k], 4))) for k in range(4)
+            1 - purity(partial_trace(rho, mask([k], 4))) for k in range(4)
         )
         triples = sum(
-            linear_entropy(partial_trace(rho, SubsetMask(15 ^ (1 << k), 4)))
+            1 - purity(partial_trace(rho, SubsetMask(15 ^ (1 << k), 4)))
             for k in range(4)
         )
         pairs = sum(
-            linear_entropy(partial_trace(rho, SubsetMask(bits, 4)))
+            1 - purity(partial_trace(rho, SubsetMask(bits, 4)))
             for bits in range(1, 16)
             if bin(bits).count("1") == 2
         )
         assert abs(rep.rhs - (singles + triples)) < 1e-12
-        assert abs(rep.lhs - (pairs + linear_entropy(rho))) < 1e-12
+        assert abs(rep.lhs - (pairs + (1 - purity(rho)))) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_four_party_holds(self, seed):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state
+from conftest import bell_state, swap_subset_expectation
 from qcert import (
     Operator,
     SpaceShape,
@@ -25,7 +25,6 @@ from qcert import (
     purity_via_observables,
     random_mixed,
     random_pure,
-    swap_subset_expectation,
 )
 
 

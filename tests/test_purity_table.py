@@ -1,13 +1,15 @@
 """The purity table against the per-subset loops it replaced.
 
-The reference functions below are the loops that ``subset_purities``, the
-partition and subset-sum routes, ``corollary1_check`` and ``disorder_check``
-ran before every subset quantity read one table, the certificate's own
-signed loop, and the swap contraction ``expectation_pure`` ran before it
-became the one-eigenpair case of the mixed route. The table and the two
-ordered reductions over it must give the same floats bit for bit, since
-they keep the accumulation order. The partition reference walks its own
-enumerator of the bipartitions, so it shares no code with the package.
+The reference functions below are the loops that the per-subset purities
+of ``measure_all``, its partition and subset-sum routes, ``corollary1_check``
+and ``disorder_check`` ran before every subset quantity read one table, the
+certificate's own signed loop, and the swap contraction ``expectation_pure``
+ran before it became the one-eigenpair case of the mixed route. The table
+and the two ordered reductions over it must give the same floats bit for
+bit, since they keep the accumulation order. The package's partition
+route is reached through ``measure_all``, which has no per-route wrapper.
+The partition reference walks its own enumerator of the bipartitions, so it
+shares no code with the package.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import apply_local_unitary, random_unitary
 from qcert import (
     MarginalSet,
     Operator,
     PureState,
     SpaceShape,
     SubsetMask,
-    apply_local_unitary,
     corollary1_check,
     corollary1_scan,
     disorder_check,
-    entanglement_E_partitions,
     entanglement_E_subset_sum,
     exhaustive_E,
     ghz_state,
@@ -44,7 +44,6 @@ from qcert import (
     random_mixed,
     random_pure,
     required_subsets,
-    subset_purities,
     theorem2_check,
 )
 from qcert.compatibility import _certificate
@@ -225,7 +224,8 @@ class TestPartitionEnumeration:
         assert classes.count("P_I") == n_odd
         assert classes.count("P_II") == n_even
         # Every GHZ bipartition has mutual information 1, so E counts P_I minus P_II.
-        assert abs(entanglement_E_partitions(ghz_state(n)) - (n_odd - n_even)) < 1e-10
+        assert abs(measure_all(ghz_state(n), "partitions").values["partitions"]
+                   - (n_odd - n_even)) < 1e-10
 
     def test_canonical_block_contains_party_zero(self):
         assert all(block.contains(0) for block, _ in ref_bipartitions(4))
@@ -234,7 +234,7 @@ class TestPartitionEnumeration:
         with pytest.raises(ValueError, match="odd"):
             ref_bipartitions(3)
         with pytest.raises(ValueError, match="odd"):
-            entanglement_E_partitions(ghz_state(3))
+            measure_all(ghz_state(3), "partitions")
 
 
 # --- the table itself ----------------------------------------------------------
@@ -336,7 +336,7 @@ class TestBitEqualToOldLoops:
         psi = random_pure(shape, seed)
         ref_partitions = ref_E_partitions(psi)
         ref_subset_sum = ref_E_subset_sum(psi)
-        assert entanglement_E_partitions(psi) == ref_partitions
+        assert measure_all(psi, "partitions").values["partitions"] == ref_partitions
         assert entanglement_E_subset_sum(psi) == ref_subset_sum
         rep = measure_all(psi)
         assert rep.values["partitions"] == ref_partitions
@@ -348,9 +348,9 @@ class TestBitEqualToOldLoops:
     def test_subset_purities(self, shape, seed):
         psi = random_pure(shape, seed)
         ref = ref_subset_purities(psi)
-        assert subset_purities(psi) == ref
-        assert list(subset_purities(psi)) == list(ref)
-        assert measure_all(psi).per_subset_purities == ref
+        purities = measure_all(psi).per_subset_purities
+        assert purities == ref
+        assert list(purities) == list(ref)
 
     @SETTINGS
     @given(shapes(min_parties=2), seeds)

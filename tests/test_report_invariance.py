@@ -14,12 +14,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import apply_local_unitary, random_unitary
 from qcert import (
     MarginalSet,
     SpaceShape,
     SubsetMask,
-    apply_local_unitary,
     corollary1_scan,
     disorder_check,
     permute_parties,

@@ -1,4 +1,4 @@
-"""State constructors, seeded samplers, purification."""
+"""State constructors and seeded samplers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from conftest import mask, max_abs
 from qcert import (
-    Operator,
     PureState,
     SpaceShape,
     SubsetMask,
@@ -19,7 +18,6 @@ from qcert import (
     partial_trace,
     permute_parties,
     product_state,
-    purify,
     purity,
     random_mixed,
     random_pure,
@@ -159,40 +157,3 @@ class TestSamplers:
         rho = random_mixed(SpaceShape((5, 5, 41)), 1023, 0)
         assert rho.entries.shape == (1025, 1025)
         assert abs(np.trace(rho.entries) - 1.0) < 1e-12
-
-
-class TestPurify:
-    def test_known_qubit_purification(self):
-        rho = Operator(SpaceShape((2,)), np.diag([2 / 3, 1 / 3]))
-        psi = purify(rho)
-        assert psi.shape.dims == (2, 2)
-        assert abs(marginal_purity(psi, SubsetMask(1, 2)) - 5 / 9) < 1e-12
-        # Descending eigenvalues with the ancilla tracking the eigenbasis.
-        assert_allclose(psi.amplitudes, [np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], atol=1e-15)
-
-    def test_pure_input_gets_product_ancilla(self):
-        base = random_pure(SpaceShape((2, 2)), 5)
-        psi = purify(base.density())
-        anc = partial_trace(psi.density(), mask([2], 3))
-        assert_allclose(anc.entries, np.diag([1.0, 0, 0, 0]), atol=1e-10)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_round_trip(self, seed):
-        rho = random_mixed(SpaceShape((2, 3)), 4, seed)
-        psi = purify(rho)
-        back = partial_trace(psi.density(), mask([0, 1], 3))
-        assert max_abs(back.entries, rho.entries) < 1e-10
-
-    def test_rejects_invalid_input(self):
-        bad = Operator(SpaceShape((2,)), [[0.9, 0.3], [0.0, 0.1]])
-        with pytest.raises(ValueError):
-            purify(bad)
-
-    def test_invalid_input_message(self):
-        bad = Operator(SpaceShape((2,)), np.diag([1.1, -0.1]))
-        with pytest.raises(ValueError) as info:
-            purify(bad)
-        assert str(info.value) == (
-            "purify needs a valid density matrix: hermiticity deviation 0, "
-            "trace deviation 0, min eigenvalue -0.1 (tol 1e-08)"
-        )
