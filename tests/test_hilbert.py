@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import apply_local_unitary, bell_state, mask, max_abs, traced_peak
+from conftest import apply_local_unitary, bell_state, mask, max_abs, random_unitary, traced_peak
 from qcert import (
     Operator,
     PureState,
@@ -285,6 +285,17 @@ class TestStateHelpers:
         before = partial_trace(psi.density(), mask([1], 2))
         after = partial_trace(rotated.density(), mask([1], 2))
         assert max_abs(before.entries, after.entries) < 1e-14
+
+    @pytest.mark.parametrize("party", range(3))
+    def test_apply_local_unitary_is_the_kronecker_product(self, party):
+        # The tensordot helper against the explicit I x u x I matrix on the amplitudes.
+        psi = random_pure(SpaceShape((2, 3, 2)), 24)
+        u = random_unitary(psi.shape.dims[party], 300 + party)
+        full = np.ones((1, 1))
+        for p, d in enumerate(psi.shape.dims):
+            full = np.kron(full, u if p == party else np.eye(d))
+        rotated = apply_local_unitary(psi, party, u)
+        assert max_abs(rotated.amplitudes, full @ psi.amplitudes) < 1e-14
 
 
 # Side 4098, just over the operator cap of 4096; a 4098 x 4098 complex matrix is 269 MB.

@@ -9,9 +9,11 @@ checks which modules it leaves unloaded.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +53,22 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         getattr(qcert, "no_such_name")
     assert not hasattr(qcert, "ROUTES")
+
+
+# Test-only routes and wrappers taken out of the package: the audit routes are
+# helpers in tests/conftest.py, and the wrappers' callers use measure_all.
+REMOVED = ["apply_local_unitary", "entanglement_E_partitions", "linear_entropy",
+           "mutual_information", "purify", "subset_purities", "swap_subset_expectation"]
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_defined_by_no_module(name):
+    assert name not in qcert.__all__
+    with pytest.raises(AttributeError):
+        getattr(qcert, name)
+    for info in pkgutil.iter_modules(qcert.__path__):
+        module = importlib.import_module(f"qcert.{info.name}")
+        assert not hasattr(module, name), f"qcert.{info.name}.{name}"
 
 
 def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):

@@ -15,9 +15,11 @@ from qcert import (
     ghz_state,
     i_concurrence_sq,
     measure_all,
+    partial_trace,
     permute_parties,
     product_state,
     purity,
+    random_mixed,
     random_pure,
     w_state,
 )
@@ -58,6 +60,17 @@ class TestMutualInformation:
         # Tr rho_0^2 = 5/9, so 2(1 - 5/9) = 8/9.
         val = mutual_information(w_state(3).density(), mask([0], 3))
         assert abs(val - 8 / 9) < 1e-12
+
+    @pytest.mark.parametrize("parties", [[0], [1], [0, 2]])
+    def test_matches_the_package_marginals(self, parties):
+        # The helper's one-transpose marginals against partial_trace and purity.
+        rho = random_mixed(SpaceShape((2, 3, 2)), 3, 40)
+        split = mask(parties, 3)
+        s_a, s_b, s_ab = (1 - purity(m) for m in
+                          (partial_trace(rho, split), partial_trace(rho, split.complement()), rho))
+        val = mutual_information(rho, split)
+        assert abs(val - (s_a + s_b - s_ab)) < 1e-12
+        assert abs(mutual_information(rho, split.complement()) - val) < 1e-12
 
 
 class TestMeasureRoutes:
