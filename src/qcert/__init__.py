@@ -62,7 +62,7 @@ _EXPORTS = {
         "purity_via_observables",
         "swap_matrix",
     ),
-    "oracle": ("exhaustive_E", "naive_expectation", "naive_partial_trace"),
+    "oracle": ("exhaustive_E",),
     "states": (
         "ghz_state",
         "normal_stream",

@@ -3,9 +3,9 @@
 Doubled-space layout is copy-major: all N parties of copy 1 first, then all
 N parties of copy 2, so the projector pair for party i acts on tensor factor
 positions (i, N+i). Expectations on states are evaluated by applying the
-per-party (I +- SWAP)/2 contractions directly to the doubled vector, in place
-between two buffers of D^2 entries; explicit doubled operators exist only for
-small systems and for auditing.
+per-party (I +- SWAP) contractions directly to the doubled vector, in place
+between two buffers of D^2 entries, and scaling the sum once by 2^-N; explicit
+doubled operators exist only for small systems and for auditing.
 
 A sign pattern is the ``SubsetMask`` of the parties that carry the
 antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
@@ -77,17 +77,20 @@ def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims) -> np.nda
 
 
 def _apply_pair_projectors(tensor: np.ndarray, pattern: SubsetMask) -> np.ndarray:
-    """Apply every party's pair projector; ``tensor`` is overwritten.
+    """Apply (I +- SWAP) for every party; ``tensor`` is overwritten.
 
-    Each step is 0.5 * (work -+ swapped), written into the other of two
-    buffers, ``tensor`` and one spare, so the returned array is one of them.
+    Each step is work -+ swapped, written into the other of two buffers,
+    ``tensor`` and one spare, so the returned array is one of them. The result
+    is 2^N times the pair projectors applied; the caller scales its sum once
+    by 2^-N. Scaling by a power of two commutes with rounding, so that gives
+    the bits of a 0.5 per step unless an intermediate is subnormal
+    (|x| < 2.2e-308).
     """
     n = pattern.n_parties
     work, spare = tensor, np.empty_like(tensor)
     for i in range(n):
         op = np.subtract if pattern.contains(i) else np.add
         op(work, np.swapaxes(work, i, n + i), out=spare)
-        np.multiply(0.5, spare, out=spare)
         work, spare = spare, work
     return work
 
@@ -123,7 +126,7 @@ def _expectation_from_eigs(vals, vecs, dims, pattern: SubsetMask) -> float:
             work = _apply_pair_projectors(_doubled_tensor(vecs[:, k], vecs[:, l], dims), pattern)
             phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims)
             total += weight * float(np.vdot(phi, work).real)
-    return total
+    return total * 0.5 ** len(dims)
 
 
 def expectation_mixed(rho: Operator, pattern: SubsetMask) -> float:

@@ -1,12 +1,10 @@
-"""Slow, independent reference implementations.
+"""The slow, independent audit route that ``qcert measure --route oracle`` runs.
 
-These paths exist to mint expected values and to cross-validate the fast
-routes, so they deliberately avoid the reshaping and contraction tricks used
-elsewhere: partial traces run as explicit nested index loops, purities as
-explicit double sums, and two-copy expectations through fully materialized
-observables. They ship with the package, unlike the audit helpers kept with
-the tests, because ``qcert measure --route oracle`` runs ``exhaustive_E``, so
-a value can be audited from the command line.
+``exhaustive_E`` evaluates the measure by literal bipartition enumeration and
+deliberately avoids the reshaping and contraction tricks used elsewhere:
+partial traces run as explicit nested index loops and purities as explicit
+double sums. It ships with the package, unlike the audit helpers kept with
+the tests, so a value can be audited from the command line.
 """
 
 from __future__ import annotations
@@ -16,12 +14,9 @@ import math
 
 import numpy as np
 
-from .hilbert import Operator, PureState, SpaceShape, SubsetMask, _check_mask
+from .hilbert import PureState, SpaceShape
 from .measures import ODD_N_ERROR
-from .observables import observable
 
-NAIVE_TRACE_MAX_DIM = 64
-NAIVE_EXPECTATION_MAX_DIM = 256
 EXHAUSTIVE_MAX_PARTIES = 8
 EXHAUSTIVE_MAX_DIM = 256
 
@@ -60,18 +55,6 @@ def _naive_partial_trace_core(matrix: np.ndarray, dims, keep_parties) -> np.ndar
     return out
 
 
-def naive_partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
-    """Partial trace by explicit nested loops over multi-indices."""
-    _check_mask(rho.shape, keep)
-    if rho.shape.total_dim > NAIVE_TRACE_MAX_DIM:
-        raise ValueError(
-            f"naive partial trace is capped at dimension {NAIVE_TRACE_MAX_DIM}"
-        )
-    reduced = _naive_partial_trace_core(rho.entries, rho.shape.dims, keep.parties)
-    sub = rho.shape.subshape(keep) if not keep.is_empty else SpaceShape(())
-    return Operator(sub, reduced)
-
-
 def _naive_purity(matrix: np.ndarray) -> float:
     d = matrix.shape[0]
     acc = 0j
@@ -79,24 +62,6 @@ def _naive_purity(matrix: np.ndarray) -> float:
         for j in range(d):
             acc += matrix[i, j] * matrix[j, i]
     return float(acc.real)
-
-
-def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
-    """Tr(A_pattern M) with the observable fully materialized.
-
-    ``state_pair`` lives on the doubled space (two copies of some single-copy
-    shape, copy-major), e.g. rho x rho or the projector onto psi x psi.
-    """
-    dims = state_pair.shape.dims
-    if len(dims) % 2 != 0 or dims[: len(dims) // 2] != dims[len(dims) // 2 :]:
-        raise ValueError("state_pair must live on a doubled shape (dims repeated)")
-    if state_pair.shape.total_dim > NAIVE_EXPECTATION_MAX_DIM:
-        raise ValueError(
-            f"naive expectation is capped at doubled dimension {NAIVE_EXPECTATION_MAX_DIM}"
-        )
-    single = SpaceShape(dims[: len(dims) // 2])
-    a = observable(single, pattern)
-    return float(np.trace(a.entries @ state_pair.entries).real)
 
 
 def exhaustive_fits(shape: SpaceShape) -> bool:

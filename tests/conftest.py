@@ -4,6 +4,11 @@
 are audit routes written with numpy alone, apart from the ``PureState``
 constructor, so the tests that compare them with the package's routes share no
 code with those routes.
+
+``naive_partial_trace`` runs the nested index loops of ``qcert.oracle``, the
+route ``qcert measure --route oracle`` runs, and ``naive_expectation`` traces
+against the explicit ``observable``; neither calls the reshaping partial trace
+or the two-copy contraction kernel they are compared with.
 """
 
 from __future__ import annotations
@@ -12,7 +17,12 @@ import tracemalloc
 
 import numpy as np
 
-from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream
+from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream, observable
+from qcert.hilbert import _check_mask
+from qcert.oracle import _naive_partial_trace_core
+
+NAIVE_TRACE_MAX_DIM = 64
+NAIVE_EXPECTATION_MAX_DIM = 256
 
 
 def mask(parties, n: int) -> SubsetMask:
@@ -65,6 +75,36 @@ def swap_subset_expectation(psi: PureState, subset: SubsetMask) -> float:
     for p in subset.parties:
         swapped = np.swapaxes(swapped, p, len(dims) + p)
     return float(np.vdot(phi, swapped).real)
+
+
+def naive_partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
+    """Partial trace by explicit nested loops over multi-indices."""
+    _check_mask(rho.shape, keep)
+    if rho.shape.total_dim > NAIVE_TRACE_MAX_DIM:
+        raise ValueError(
+            f"naive partial trace is capped at dimension {NAIVE_TRACE_MAX_DIM}"
+        )
+    reduced = _naive_partial_trace_core(rho.entries, rho.shape.dims, keep.parties)
+    sub = rho.shape.subshape(keep) if not keep.is_empty else SpaceShape(())
+    return Operator(sub, reduced)
+
+
+def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
+    """Tr(A_pattern M) with the observable fully materialized.
+
+    ``state_pair`` lives on the doubled space (two copies of some single-copy
+    shape, copy-major), e.g. rho x rho or the projector onto psi x psi.
+    """
+    dims = state_pair.shape.dims
+    if len(dims) % 2 != 0 or dims[: len(dims) // 2] != dims[len(dims) // 2 :]:
+        raise ValueError("state_pair must live on a doubled shape (dims repeated)")
+    if state_pair.shape.total_dim > NAIVE_EXPECTATION_MAX_DIM:
+        raise ValueError(
+            f"naive expectation is capped at doubled dimension {NAIVE_EXPECTATION_MAX_DIM}"
+        )
+    single = SpaceShape(dims[: len(dims) // 2])
+    a = observable(single, pattern)
+    return float(np.trace(a.entries @ state_pair.entries).real)
 
 
 def max_abs(a, b) -> float:

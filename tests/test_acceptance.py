@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import apply_local_unitary, random_unitary
+from conftest import apply_local_unitary, naive_expectation, naive_partial_trace, random_unitary
 from qcert import (
     MarginalSet,
     Operator,
@@ -29,8 +29,6 @@ from qcert import (
     expectation_pure,
     ghz_state,
     measure_all,
-    naive_expectation,
-    naive_partial_trace,
     partial_trace,
     permute_parties,
     purity,

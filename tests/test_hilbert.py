@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import apply_local_unitary, bell_state, mask, max_abs, random_unitary, traced_peak
+from conftest import (
+    apply_local_unitary,
+    bell_state,
+    mask,
+    max_abs,
+    naive_partial_trace,
+    random_unitary,
+    traced_peak,
+)
 from qcert import (
     Operator,
     PureState,
     SpaceShape,
     SubsetMask,
-    naive_partial_trace,
     observable,
     pair_projector,
     partial_trace,

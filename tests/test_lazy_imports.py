@@ -58,7 +58,8 @@ def test_unknown_name_raises_attribute_error():
 # Test-only routes and wrappers taken out of the package: the audit routes are
 # helpers in tests/conftest.py, and the wrappers' callers use measure_all.
 REMOVED = ["apply_local_unitary", "entanglement_E_partitions", "linear_entropy",
-           "mutual_information", "purify", "subset_purities", "swap_subset_expectation"]
+           "mutual_information", "naive_expectation", "naive_partial_trace", "purify",
+           "subset_purities", "swap_subset_expectation"]
 
 
 @pytest.mark.parametrize("name", REMOVED)

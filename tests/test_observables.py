@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, swap_subset_expectation
+from conftest import bell_state, naive_expectation, swap_subset_expectation
 from qcert import (
     Operator,
     SpaceShape,
@@ -16,7 +16,6 @@ from qcert import (
     all_patterns,
     expectation_mixed,
     expectation_pure,
-    naive_expectation,
     observable,
     pair_projector,
     partial_trace,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, max_abs
+from conftest import bell_state, max_abs, naive_expectation, naive_partial_trace
 from qcert import (
     Operator,
     SpaceShape,
@@ -15,8 +15,6 @@ from qcert import (
     entanglement_E_projector,
     exhaustive_E,
     ghz_state,
-    naive_expectation,
-    naive_partial_trace,
     partial_trace,
     random_mixed,
     random_pure,

@@ -16,18 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_expectation
 from qcert import (
     Operator,
+    PureState,
     SpaceShape,
     SubsetMask,
     all_patterns,
     expectation_mixed,
     expectation_pure,
-    naive_expectation,
+    ghz_state,
     normal_stream,
     observable,
+    product_state,
     random_mixed,
     random_pure,
+    w_state,
 )
 from qcert.hilbert import _permute_matrix_factors
 from qcert.observables import _doubled_tensor, swap_matrix
@@ -150,11 +154,30 @@ class TestBitEqualToStringPatterns:
             ref = ref_naive_expectation(pair, signs_of(pattern))
             assert_same_float(naive_expectation(pair, pattern), ref)
 
+    @pytest.mark.parametrize("name", ["ghz", "w", "product"])
+    def test_expectation_pure_with_exact_zeros(self, name):
+        """Doubled tensors holding exact zeros pin the zero signs under one 2^-N scale."""
+        psi = {
+            "ghz": ghz_state(4),
+            "w": w_state(4),
+            "product": product_state([
+                PureState(SpaceShape((2,)), np.array([1.0, 0.0])),
+                PureState(SpaceShape((3,)), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)),
+                random_pure(SpaceShape((2,)), 4),
+                PureState(SpaceShape((2,)), np.array([0.0, 1.0])),
+            ]),
+        }[name]
+        for pattern in all_patterns(psi.shape.n_parties):
+            ref = ref_expectation_from_eigs(
+                [1.0], psi.amplitudes[:, None], psi.shape.dims, signs_of(pattern)
+            )
+            assert_same_float(expectation_pure(psi, pattern), ref)
+
 
 class TestBitEqualAtBenchmarkSizes:
     """The pins above stop at D <= 36; these reach the sizes the benchmark runs."""
 
-    @pytest.mark.parametrize("n, seed", [(8, 3), (9, 5)])
+    @pytest.mark.parametrize("n, seed", [(8, 3), (9, 5), (10, 7)])
     def test_expectation_pure(self, n, seed):
         psi = random_pure(SpaceShape((2,) * n), seed)
         for pattern in (psi.shape.full_mask(), SubsetMask(0b1011, n)):

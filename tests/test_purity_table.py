@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_local_unitary, random_unitary
+from conftest import NAIVE_TRACE_MAX_DIM, apply_local_unitary, naive_partial_trace, random_unitary
 from qcert import (
     MarginalSet,
     Operator,
@@ -49,7 +49,6 @@ from qcert import (
 from qcert.compatibility import _certificate
 from qcert.monogamy import _submasks
 from qcert.observables import all_patterns, expectation_pure
-from qcert.oracle import NAIVE_TRACE_MAX_DIM, naive_partial_trace
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
