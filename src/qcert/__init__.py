@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "measures": (
         "MeasureReport",
-        "entanglement_E_projector",
         "entanglement_E_subset_sum",
         "i_concurrence_sq",
         "marginal_purity",

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -345,12 +344,8 @@ def _pure_state(path: str, subject: str) -> PureState:
 
 def cmd_measure(args) -> tuple[dict, int]:
     from .measures import measure_all
-    from .oracle import exhaustive_E, exhaustive_fits
 
-    state = _pure_state(args.state, "the measure is")
-    rep = measure_all(state, args.route)
-    if args.route == "oracle" or (args.route == "all" and exhaustive_fits(state.shape)):
-        rep = replace(rep, values={**rep.values, "oracle": exhaustive_E(state)})
+    rep = measure_all(_pure_state(args.state, "the measure is"), args.route)
     max_delta = rep.max_route_delta()
     return _document(
         "measure_report",

@@ -16,3 +16,5 @@ VECTOR_DIM_CAP = 1 << 20
 
 # The routes of ``measures.measure_all``; here so the CLI parser needs no measures import.
 ROUTES = ("partitions", "projector", "subset-sum", "all", "oracle")
+# The error of every measure route that needs an even party count, the oracle's included.
+ODD_N_ERROR = "partition classes undefined for odd N"

@@ -1,10 +1,11 @@
-"""The multipartite measure E via three routes, read from one subset purity table.
+"""The multipartite measure E by each of its routes, and the subset purity table.
 
 For an even number of parties the measure is the signed sum of bipartite
 mutual informations over the two partition classes (both blocks odd minus
 both blocks even). It equals 2^N times the all-antisymmetric two-copy
-expectation, and also an alternating sum of subset purities. The three
-routes are implemented independently and must agree within TOL_ROUTE.
+expectation, and also an alternating sum of subset purities. These three
+routes and the slow audit route of ``qcert.oracle``, which imports nothing
+from this module, are implemented independently and must agree within TOL_ROUTE.
 
 Every subset quantity reads one complete purity table per state; only a
 single monogamy check, ``corollary1_check``, evaluates just its submasks.
@@ -20,18 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ROUTES
-from .hilbert import (
-    Operator,
-    PureState,
-    SubsetMask,
-    _check_mask,
-    partial_trace,
-    purity,
-)
+from .config import ODD_N_ERROR, ROUTES
+from .hilbert import Operator, PureState, SubsetMask, _check_mask, partial_trace, purity
 from .observables import _doubled_fits, expectation_pure
-
-ODD_N_ERROR = "partition classes undefined for odd N"
 
 
 def _require_even(n: int) -> None:
@@ -107,11 +99,6 @@ def _signed_sum(terms) -> float:
     return total
 
 
-def _proper_purities(table: list[float]) -> dict[SubsetMask, float]:
-    n = len(table).bit_length() - 1
-    return {SubsetMask(bits, n): table[bits] for bits in range(1, len(table) - 1)}
-
-
 def _e_partitions(table: list[float]) -> float:
     # Block a holds party 0; both blocks are odd (class P_I) exactly when |a| is.
     full = len(table) - 1
@@ -120,14 +107,6 @@ def _e_partitions(table: list[float]) -> float:
         (a, (1.0 - table[a]) + (1.0 - table[full ^ a]) - s_global)
         for a in range(1, full, 2)
     )
-
-
-def entanglement_E_projector(psi: PureState) -> float:
-    """E as 2^N times the all-antisymmetric two-copy expectation.
-
-    Evaluable for any party count; for odd N the value vanishes.
-    """
-    return float(2**psi.shape.n_parties) * expectation_pure(psi, psi.shape.full_mask())
 
 
 def _e_subset_sum(table: list[float]) -> float:
@@ -181,11 +160,11 @@ class MeasureReport:
 def measure_all(psi: PureState, route: str = "all") -> MeasureReport:
     """E by one route of ``ROUTES``, or by every applicable one for "all".
 
-    "all" omits the partition forms for odd N, and the projector route when its
-    doubled vector, D^2 entries, exceeds the state cap (above 10 qubits); the
-    single "partitions" and "subset-sum" routes reject odd N. The oracle value
-    is left None for the caller: ``qcert.oracle`` imports this module, so its
-    audit route stays apart from the routes here.
+    "all" omits the partition forms for odd N, the projector route when its
+    doubled vector, D^2 entries, exceeds the state cap (above 10 qubits), and
+    the oracle unless ``exhaustive_fits`` holds. The single "partitions",
+    "subset-sum" and "oracle" routes reject odd N, and "oracle" a shape over
+    its caps.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {', '.join(ROUTES)}")
@@ -196,11 +175,16 @@ def measure_all(psi: PureState, route: str = "all") -> MeasureReport:
         if route != "all":
             _require_even(n)
         table = purity_table(psi)
-        purities = _proper_purities(table)
+        purities = {SubsetMask(bits, n): table[bits] for bits in range(1, len(table) - 1)}
         if n % 2 == 0 and route != "subset-sum":
             values["partitions"] = _e_partitions(table)
         if n % 2 == 0 and route != "partitions":
             values["subset_sum"] = _e_subset_sum(table)
     if route == "projector" or (route == "all" and _doubled_fits(psi.shape)):
-        values["projector"] = entanglement_E_projector(psi)
+        values["projector"] = float(2**n) * expectation_pure(psi, psi.shape.full_mask())
+    if route in ("all", "oracle"):
+        from .oracle import exhaustive_E, exhaustive_fits
+
+        if route == "oracle" or exhaustive_fits(psi.shape):
+            values["oracle"] = exhaustive_E(psi)
     return MeasureReport(psi.shape.dims, values, purities)

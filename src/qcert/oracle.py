@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
+from .config import ODD_N_ERROR
 from .hilbert import PureState, SpaceShape
-from .measures import ODD_N_ERROR
 
 EXHAUSTIVE_MAX_PARTIES = 8
 EXHAUSTIVE_MAX_DIM = 256

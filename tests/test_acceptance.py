@@ -22,7 +22,6 @@ from qcert import (
     corollary1_check,
     corollary1_scan,
     disorder_check,
-    entanglement_E_projector,
     entanglement_E_subset_sum,
     exhaustive_E,
     expectation_mixed,
@@ -50,7 +49,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def three_routes(psi):
     return (
         measure_all(psi, "partitions").values["partitions"],
-        entanglement_E_projector(psi),
+        measure_all(psi, "projector").values["projector"],
         entanglement_E_subset_sum(psi),
     )
 
@@ -106,7 +105,7 @@ def test_criterion_04_nonnegativity():
     worst = 0.0
     for i in range(1000):
         psi = random_pure(SpaceShape(profiles[i % 2]), 2000 + i)
-        worst = min(worst, entanglement_E_projector(psi))
+        worst = min(worst, measure_all(psi, "projector").values["projector"])
     ok = worst >= -1e-10
     report(4, "projector-route nonnegativity on 1000 states", ok, f" (min={worst:.2e})")
 
@@ -116,7 +115,7 @@ def test_criterion_05_odd_party_vanishing():
     worst = 0.0
     for i in range(200):
         psi = random_pure(SpaceShape(profiles[i % 4]), 3000 + i)
-        worst = max(worst, abs(entanglement_E_projector(psi)))
+        worst = max(worst, abs(measure_all(psi, "projector").values["projector"]))
     ok = worst <= 1e-12
     report(5, "odd-N projector route vanishes on 200 states", ok, f" (max |E|={worst:.2e})")
 

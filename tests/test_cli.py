@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from test_stdout_digests import STATES as DIGEST_STATES
 from qcert import (
     MarginalSet,
     Operator,
@@ -34,6 +35,7 @@ from qcert.cli import (
     parse_state_dict,
     state_file_dict,
 )
+from qcert.config import ROUTES
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +188,20 @@ class TestMeasure:
         key = route.replace("-", "_")
         monkeypatch.undo()
         assert doc["values"][key] == measure_all(psi, route).values[key]
+
+    @pytest.mark.parametrize("name", ["even", "odd", "qudits"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_values_are_the_library_values(self, tmp_path, capsys, route, name):
+        psi = DIGEST_STATES[name]
+        code, out = run_cli(capsys, "measure", "--state", write_state(tmp_path, "s.json", psi),
+                            "--route", route)
+        doc = json.loads(out)
+        try:
+            values = measure_all(psi, route).values
+        except ValueError as exc:
+            assert (code, doc["kind"], doc["message"]) == (2, "error", str(exc))
+        else:
+            assert (code, doc["values"]) == (0, values)
 
     def test_route_all_skips_the_projector_above_the_doubled_cap(self, tmp_path, capsys):
         # 12 qubits: the doubled vector would hold 2^24 entries, over the 2^20 cap.

@@ -9,6 +9,7 @@ checks which modules it leaves unloaded.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -57,9 +58,9 @@ def test_unknown_name_raises_attribute_error():
 
 # Test-only routes and wrappers taken out of the package: the audit routes are
 # helpers in tests/conftest.py, and the wrappers' callers use measure_all.
-REMOVED = ["apply_local_unitary", "entanglement_E_partitions", "linear_entropy",
-           "mutual_information", "naive_expectation", "naive_partial_trace", "purify",
-           "subset_purities", "swap_subset_expectation"]
+REMOVED = ["apply_local_unitary", "entanglement_E_partitions", "entanglement_E_projector",
+           "linear_entropy", "mutual_information", "naive_expectation", "naive_partial_trace",
+           "purify", "subset_purities", "swap_subset_expectation"]
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -70,6 +71,18 @@ def test_removed_name_is_defined_by_no_module(name):
     for info in pkgutil.iter_modules(qcert.__path__):
         module = importlib.import_module(f"qcert.{info.name}")
         assert not hasattr(module, name), f"qcert.{info.name}.{name}"
+
+
+def test_oracle_imports_nothing_from_the_routes_it_audits():
+    # Read with ast, not imported: the audit must share no code with the fast path.
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "qcert" / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")  # "" for "from . import name"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"measures", "observables", "monogamy", "compatibility"}, names
 
 
 def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):

@@ -1,4 +1,4 @@
-"""Linear entropy, mutual information and the three routes to the measure."""
+"""Linear entropy, mutual information and the routes to the measure."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from qcert import (
     Operator,
     SpaceShape,
     SubsetMask,
-    entanglement_E_projector,
     entanglement_E_subset_sum,
+    exhaustive_E,
     ghz_state,
     i_concurrence_sq,
     measure_all,
@@ -28,7 +28,7 @@ from qcert import (
 def all_routes(psi):
     return (
         measure_all(psi, "partitions").values["partitions"],
-        entanglement_E_projector(psi),
+        measure_all(psi, "projector").values["projector"],
         entanglement_E_subset_sum(psi),
     )
 
@@ -105,12 +105,12 @@ class TestMeasureRoutes:
     def test_projector_route_nonnegative(self):
         for seed in range(25):
             psi = random_pure(SpaceShape((2, 3, 2, 2)), seed)
-            assert entanglement_E_projector(psi) >= -1e-10
+            assert measure_all(psi, "projector").values["projector"] >= -1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2, 2), (2, 3, 2)])
     def test_odd_party_count_behavior(self, dims):
         psi = random_pure(SpaceShape(dims), 5)
-        assert abs(entanglement_E_projector(psi)) < 1e-12
+        assert abs(measure_all(psi, "projector").values["projector"]) < 1e-12
         with pytest.raises(ValueError, match="odd"):
             measure_all(psi, "partitions")
         with pytest.raises(ValueError, match="odd"):
@@ -182,7 +182,7 @@ class TestMeasureAll:
             ("partitions", ["partitions"], True),
             ("subset-sum", ["subset_sum"], True),
             ("projector", ["projector"], False),
-            ("oracle", [], False),
+            ("oracle", ["oracle"], False),
         ],
     )
     def test_single_route_fills_only_its_value(self, route, filled, table):
@@ -193,6 +193,10 @@ class TestMeasureAll:
         assert (rep.per_subset_purities is not None) == table
         assert rep.route_deltas() == {}
         assert rep.max_route_delta() is None
+
+    def test_oracle_route_runs_exhaustive_E(self):
+        psi = random_pure(SpaceShape((2, 2, 2, 2)), 6)
+        assert measure_all(psi, "oracle").values["oracle"] == exhaustive_E(psi)
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError, match="unknown route 'exhaustive'"):

@@ -12,9 +12,9 @@ from qcert import (
     SpaceShape,
     SubsetMask,
     all_patterns,
-    entanglement_E_projector,
     exhaustive_E,
     ghz_state,
+    measure_all,
     partial_trace,
     random_mixed,
     random_pure,
@@ -97,7 +97,8 @@ class TestExhaustiveMeasure:
     def test_matches_fast_routes(self, dims):
         for seed in range(3):
             psi = random_pure(SpaceShape(dims), seed)
-            assert abs(exhaustive_E(psi) - entanglement_E_projector(psi)) < 1e-10
+            e = measure_all(psi, "projector").values["projector"]
+            assert abs(exhaustive_E(psi) - e) < 1e-10
 
     def test_rejects_odd_party_count(self):
         with pytest.raises(ValueError, match="odd"):

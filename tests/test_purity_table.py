@@ -32,7 +32,6 @@ from qcert import (
     corollary1_scan,
     disorder_check,
     entanglement_E_subset_sum,
-    exhaustive_E,
     ghz_state,
     i_concurrence_sq,
     marginal_purity,
@@ -415,8 +414,7 @@ class TestAgainstOracle:
     @SETTINGS
     @given(shapes(max_dim=96, even=True), seeds)
     def test_table_routes_match_exhaustive_E(self, shape, seed):
-        psi = random_pure(shape, seed)
-        e = exhaustive_E(psi)
-        rep = measure_all(psi)
+        rep = measure_all(random_pure(shape, seed))
+        e = rep.values["oracle"]
         assert abs(rep.values["partitions"] - e) <= 1e-10
         assert abs(rep.values["subset_sum"] - e) <= 1e-10

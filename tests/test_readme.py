@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from qcert.config import TOL_ROUTE
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,7 +16,7 @@ def test_library_sketch_runs():
     ns: dict = {}
     exec(compile(blocks[0], str(README), "exec"), ns)
     report, single = ns["report"], ns["single"]
-    assert report.values["oracle"] is None
+    assert abs(report.values["oracle"] - report.values["subset_sum"]) <= TOL_ROUTE
     assert [name for name, value in single.values.items() if value is not None] == ["projector"]
     assert ns["cert2"].slack >= ns["cert"].slack
     assert abs(ns["e"] - report.values["projector"]) < 1e-12

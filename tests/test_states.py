@@ -11,9 +11,9 @@ from qcert import (
     PureState,
     SpaceShape,
     SubsetMask,
-    entanglement_E_projector,
     ghz_state,
     marginal_purity,
+    measure_all,
     normal_stream,
     partial_trace,
     permute_parties,
@@ -88,7 +88,7 @@ class TestProductState:
     def test_product_input_has_zero_measure(self):
         factors = [random_pure(SpaceShape((2,)), s) for s in range(4)]
         psi = product_state(factors)
-        assert abs(entanglement_E_projector(psi)) < 1e-12
+        assert abs(measure_all(psi, "projector").values["projector"]) < 1e-12
 
     def test_needs_a_factor(self):
         with pytest.raises(ValueError):
