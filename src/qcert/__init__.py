@@ -1,10 +1,12 @@
 """Multipartite entanglement measure and marginal-compatibility certificates.
 
 The library evaluates an information-theoretic entanglement measure of pure
-states through three independent routes, certifies when a set of claimed
-reduced density matrices cannot arise from any common global state, and
-checks the monogamy and disorder inequalities that follow from the same
-conditions. The ``qcert`` command exposes everything over JSON files.
+states through four routes (two read one subset-purity table; the projector
+route and the slow oracle are independent of it and of each other),
+certifies when a set of claimed reduced density matrices cannot arise from
+any common global state, and checks the monogamy and disorder inequalities
+that follow from the same conditions. The ``qcert`` command exposes
+everything over JSON files.
 """
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ function of its inputs, so everything here is safe to call concurrently.
 Reductions over subsets run in ascending bitmask order, which keeps repeated
 runs bit-for-bit identical. Dimensions, mask fields, party indices and
 permutation entries must be integers (Python or numpy ints, stored as int);
-a float or a string raises ``TypeError`` rather than being truncated.
+a bool, float or string raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ import numpy as np
 from .config import OPERATOR_DIM_CAP, TOL_INPUT, VECTOR_DIM_CAP
 
 
+def _index(value) -> int:
+    """``operator.index(value)``, refusing a bool: ``True`` is not party 1."""
+    if type(value) is bool:
+        raise TypeError(f"expected an integer, got the bool {value}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SpaceShape:
     """Party count and per-party dimensions of a composite space.
@@ -36,7 +43,7 @@ class SpaceShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(operator.index(d) for d in self.dims)
+        dims = tuple(_index(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if any(d < 2 for d in dims):
             raise ValueError(f"every party dimension must be >= 2, got {dims}")
@@ -69,8 +76,8 @@ class SubsetMask:
     n_parties: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", operator.index(self.bits))
-        object.__setattr__(self, "n_parties", operator.index(self.n_parties))
+        object.__setattr__(self, "bits", _index(self.bits))
+        object.__setattr__(self, "n_parties", _index(self.n_parties))
         if self.n_parties < 1:
             raise ValueError("subset mask needs at least one party")
         if not 0 <= self.bits < (1 << self.n_parties):
@@ -82,7 +89,7 @@ class SubsetMask:
     def from_parties(cls, parties, n_parties: int) -> SubsetMask:
         bits = 0
         for p in parties:
-            p = operator.index(p)
+            p = _index(p)
             if not 0 <= p < n_parties:
                 raise ValueError(f"party index {p} out of range for N={n_parties}")
             bits |= 1 << p
@@ -121,7 +128,7 @@ def _operator_side(dims: tuple[int, ...]) -> int:
     It takes the dims, not a ``SpaceShape``, so a doubled or joined space is
     checked against this cap before its shape is checked against the state cap.
     """
-    d = math.prod(map(operator.index, dims))
+    d = math.prod(map(_index, dims))
     if d > OPERATOR_DIM_CAP:
         raise ValueError(f"operator side {d} exceeds the operator cap {OPERATOR_DIM_CAP}")
     return d
@@ -274,7 +281,7 @@ def _permute_matrix_factors(matrix: np.ndarray, dims, new_from_old) -> np.ndarra
 
 def permute_parties(obj: Operator | PureState, new_from_old) -> Operator | PureState:
     """Relabel parties: position k of the result holds old party new_from_old[k]."""
-    perm = tuple(operator.index(p) for p in new_from_old)
+    perm = tuple(_index(p) for p in new_from_old)
     dims = obj.shape.dims
     if sorted(perm) != list(range(len(dims))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(dims) - 1}")

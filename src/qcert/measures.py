@@ -3,9 +3,11 @@
 For an even number of parties the measure is the signed sum of bipartite
 mutual informations over the two partition classes (both blocks odd minus
 both blocks even). It equals 2^N times the all-antisymmetric two-copy
-expectation, and also an alternating sum of subset purities. These three
-routes and the slow audit route of ``qcert.oracle``, which imports nothing
-from this module, are implemented independently and must agree within TOL_ROUTE.
+expectation, and also an alternating sum of subset purities. The partition
+and subset-sum routes read one purity table; the projector route and the slow
+audit route of ``qcert.oracle``, which imports nothing from this module, are
+independent of the table and of each other. All four must agree within
+TOL_ROUTE.
 
 Every subset quantity reads one complete purity table per state; only a
 single monogamy check, ``corollary1_check``, evaluates just its submasks.
@@ -23,7 +25,6 @@ import numpy as np
 
 from .config import ODD_N_ERROR, ROUTES
 from .hilbert import Operator, PureState, SubsetMask, _check_mask, partial_trace, purity
-from .observables import _doubled_fits, expectation_pure
 
 
 def _require_even(n: int) -> None:
@@ -180,8 +181,11 @@ def measure_all(psi: PureState, route: str = "all") -> MeasureReport:
             values["partitions"] = _e_partitions(table)
         if n % 2 == 0 and route != "partitions":
             values["subset_sum"] = _e_subset_sum(table)
-    if route == "projector" or (route == "all" and _doubled_fits(psi.shape)):
-        values["projector"] = float(2**n) * expectation_pure(psi, psi.shape.full_mask())
+    if route in ("all", "projector"):
+        from .observables import _doubled_fits, expectation_pure
+
+        if route == "projector" or _doubled_fits(psi.shape):
+            values["projector"] = float(2**n) * expectation_pure(psi, psi.shape.full_mask())
     if route in ("all", "oracle"):
         from .oracle import exhaustive_E, exhaustive_fits
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .config import VECTOR_DIM_CAP
-from .hilbert import Operator, PureState, SpaceShape, _operator_side
+from .hilbert import Operator, PureState, SpaceShape, _index, _operator_side
 
 
 def _qubits(n: int) -> SpaceShape:
@@ -93,6 +93,7 @@ def random_mixed(shape: SpaceShape, rank: int, seed: int) -> Operator:
     amplitudes of the purification being within the state cap.
     """
     d = _operator_side(shape.dims)
+    rank = _index(rank)
     top = min(d, VECTOR_DIM_CAP // d)
     if not 1 <= rank <= top:
         raise ValueError(f"rank must be in 1..{top}, got {rank}")

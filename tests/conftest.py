@@ -1,4 +1,11 @@
-"""Shared helpers for the test suite.
+"""Shared helpers for the test suite, each defined once.
+
+``SETTINGS``, ``seeds`` and ``shapes`` are the property tests' hypothesis
+settings and strategies; ``mask``, ``mapped_mask`` (a mask after
+``permute_parties``), ``bell_state`` and ``random_unitary`` build inputs;
+``assert_same_float`` checks equality bit for bit, the sign of zero included;
+``run_cli`` runs one ``qcert`` command in process, and ``error_message`` reads
+the message of its exit-2 error document.
 
 ``apply_local_unitary``, ``mutual_information`` and ``swap_subset_expectation``
 are audit routes written with numpy alone, apart from the ``PureState``
@@ -13,20 +20,42 @@ or the two-copy contraction kernel they are compared with.
 
 from __future__ import annotations
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream, observable
+from qcert.cli import main
 from qcert.hilbert import _check_mask
 from qcert.oracle import _naive_partial_trace_core
 
 NAIVE_TRACE_MAX_DIM = 64
 NAIVE_EXPECTATION_MAX_DIM = 256
 
+SETTINGS = settings(max_examples=12, deadline=None)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def shapes(min_parties=1, max_parties=6, max_dim=144, even=False):
+    dims = st.lists(st.sampled_from((2, 3)), min_size=min_parties, max_size=max_parties)
+    dims = dims.filter(lambda d: math.prod(d) <= max_dim)
+    if even:
+        dims = dims.filter(lambda d: len(d) % 2 == 0)
+    return dims.map(lambda d: SpaceShape(tuple(d)))
+
 
 def mask(parties, n: int) -> SubsetMask:
     return SubsetMask.from_parties(parties, n)
+
+
+def mapped_mask(bits: int, new_from_old) -> int:
+    """Mask of ``bits`` after position k takes old party new_from_old[k]."""
+    return sum(1 << k for k, old in enumerate(new_from_old) if bits >> old & 1)
 
 
 def bell_state() -> PureState:
@@ -109,6 +138,23 @@ def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
 
 def max_abs(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def assert_same_float(value: float, ref: float) -> None:
+    assert value == ref
+    assert math.copysign(1.0, value) == math.copysign(1.0, ref)
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def error_message(code, out):
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "error"
+    return doc["message"]
 
 
 def traced_peak(call, *args):

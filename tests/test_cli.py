@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import error_message, run_cli, traced_peak
 from test_stdout_digests import STATES as DIGEST_STATES
 from qcert import (
     MarginalSet,
@@ -36,11 +36,6 @@ from qcert.cli import (
     state_file_dict,
 )
 from qcert.config import ROUTES
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    return code, capsys.readouterr().out
 
 
 def write_state(tmp_path, name, state):
@@ -430,13 +425,6 @@ def write_json(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def error_message(code, out):
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["kind"] == "error"
-    return doc["message"]
 
 
 class TestUnknownKeys:

@@ -71,19 +71,19 @@ class TestShapesAndMasks:
 
 
 class TestIntegerIndices:
-    """Dimensions, mask fields, party indices and permutations must be integers."""
+    """Dimensions, mask fields, party indices and permutations must be integers, not bools."""
 
-    @pytest.mark.parametrize("dims", [(2.7, 2), "22", (2, 2.0)])
+    @pytest.mark.parametrize("dims", [(2.7, 2), "22", (2, 2.0), (True, 2)])
     def test_shape_rejects_non_integer_dims(self, dims):
         with pytest.raises(TypeError):
             SpaceShape(dims)
 
-    @pytest.mark.parametrize("bits, n", [(2.0, 2), (1, 2.0), ("1", 2)])
+    @pytest.mark.parametrize("bits, n", [(2.0, 2), (1, 2.0), ("1", 2), (True, 2)])
     def test_mask_rejects_non_integer_fields(self, bits, n):
         with pytest.raises(TypeError):
             SubsetMask(bits, n)
 
-    @pytest.mark.parametrize("parties", [[0.9, 1], [0, 1.0], ["0"]])
+    @pytest.mark.parametrize("parties", [[0.9, 1], [0, 1.0], ["0"], [True]])
     def test_from_parties_rejects_non_integer_indices(self, parties):
         with pytest.raises(TypeError):
             SubsetMask.from_parties(parties, 2)
@@ -94,7 +94,7 @@ class TestIntegerIndices:
         with pytest.raises(TypeError):
             pair_projector(d, True)
 
-    @pytest.mark.parametrize("perm", [(1.2, 0), (1.0, 0), ("1", "0")])
+    @pytest.mark.parametrize("perm", [(1.2, 0), (1.0, 0), ("1", "0"), (True, False)])
     def test_permute_parties_rejects_non_integer_entries(self, perm):
         psi = random_pure(SpaceShape((2, 3)), 1)
         for obj in (psi, psi.density()):

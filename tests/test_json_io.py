@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import error_message, run_cli
 from qcert import (
     MarginalSet,
     Operator,
@@ -354,14 +355,6 @@ def write_doc(tmp_path, doc) -> str:
     return str(path)
 
 
-def error_of(capsys, *argv) -> str:
-    code = main(list(argv))
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert doc["kind"] == "error"
-    return doc["message"]
-
-
 class TestStructuralRejections:
     @pytest.mark.parametrize("case", sorted(MATRIX_REJECTIONS))
     def test_matrix_cell_or_shape_exits_2(self, tmp_path, capsys, case):
@@ -370,16 +363,16 @@ class TestStructuralRejections:
             ref_parse_matrix(matrix, 2, "state file")
         assert str(ref.value) == expected
         path = write_doc(tmp_path, {"dims": [2], "kind": "mixed", "matrix": matrix})
-        assert error_of(capsys, "disorder", "--state", path) == expected
+        assert error_message(*run_cli(capsys, "disorder", "--state", path)) == expected
 
     @pytest.mark.parametrize("cell", [[True, 0.0], ["1", 0.0], [0.0, 0.0, 0.0], {"re": 0.0}])
     def test_vector_cell_exits_2(self, tmp_path, capsys, cell):
         path = write_doc(tmp_path, {"dims": [2], "kind": "pure", "vector": [[1.0, 0.0], cell]})
-        assert error_of(capsys, "measure", "--state", path) == PAIR_MESSAGE
+        assert error_message(*run_cli(capsys, "measure", "--state", path)) == PAIR_MESSAGE
 
     def test_vector_length_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, {"dims": [2], "kind": "pure", "vector": [[1.0, 0.0]]})
-        message = error_of(capsys, "measure", "--state", path)
+        message = error_message(*run_cli(capsys, "measure", "--state", path))
         assert message == "state file: 'vector' must hold 2 [re, im] pairs"
 
     def test_tuple_pair_is_rejected(self):
@@ -421,11 +414,11 @@ class TestHugeIntegers:
         path = tmp_path / "psi.json"
         path.write_text(text.replace("[0, 0]", f"[{HUGE}, 0]", 1))
         for command in ("measure", "monogamy", "disorder"):
-            message = error_of(capsys, command, "--state", str(path))
+            message = error_message(*run_cli(capsys, command, "--state", str(path)))
             assert message == "state file: 'vector' holds a non-finite number"
         doc = {"dims": [2], "kind": "mixed", "matrix": with_cell([0, HUGE])}
         path.write_text(json.dumps(doc))
-        message = error_of(capsys, "disorder", "--state", str(path))
+        message = error_message(*run_cli(capsys, "disorder", "--state", str(path)))
         assert message == "state file: matrix holds a non-finite number"
 
     def test_cli_global_purity_exits_2(self, tmp_path, capsys):
@@ -433,7 +426,8 @@ class TestHugeIntegers:
         doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
         doc = json.loads(dumps(doc))
         doc["global_purity"] = HUGE
-        message = error_of(capsys, "compat", "--marginals", write_doc(tmp_path, doc))
+        path = write_doc(tmp_path, doc)
+        message = error_message(*run_cli(capsys, "compat", "--marginals", path))
         assert message == "marginal file: 'global_purity' must be a finite number"
 
 

@@ -110,14 +110,14 @@ COMMANDS = {
     "measure": (["measure", "--state", "{state}"], 0,
                 {"compatibility", "monogamy", "states"}),
     "monogamy": (["monogamy", "--state", "{state}"], 0,
-                 {"compatibility", "oracle", "states"}),
+                 {"compatibility", "observables", "oracle", "states"}),
     "disorder": (["disorder", "--state", "{state}"], 0,
-                 {"compatibility", "oracle", "states"}),
+                 {"compatibility", "observables", "oracle", "states"}),
     "sample": (["sample", "--dims", "2,3", "--seed", "4"], 0,
                {"measures", "observables", "monogamy", "oracle", "compatibility"}),
     "compat": (["compat", "--marginals", "{marginals}"], 0,
-               {"monogamy", "oracle", "states"}),
-    "demo": (["demo", "eq8"], 3, {"monogamy", "oracle", "states"}),
+               {"monogamy", "observables", "oracle", "states"}),
+    "demo": (["demo", "eq8"], 3, {"monogamy", "observables", "oracle", "states"}),
 }
 
 

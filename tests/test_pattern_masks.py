@@ -9,14 +9,12 @@ for operation, so the operators and expectations must match bit for bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import naive_expectation
+from conftest import SETTINGS, assert_same_float, naive_expectation, seeds, shapes
 from qcert import (
     Operator,
     PureState,
@@ -35,8 +33,6 @@ from qcert import (
 )
 from qcert.hilbert import _permute_matrix_factors
 from qcert.observables import _doubled_tensor, swap_matrix
-
-SETTINGS = settings(max_examples=12, deadline=None)
 
 PLUS = "+"
 MINUS = "-"
@@ -103,22 +99,6 @@ def ref_naive_expectation(state_pair: Operator, signs) -> float:
     return float(np.trace(a.entries @ state_pair.entries).real)
 
 
-# --- strategies --------------------------------------------------------------
-
-def shapes(max_dim: int):
-    dims = st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4)
-    dims = dims.filter(lambda d: math.prod(d) <= max_dim)
-    return dims.map(lambda d: SpaceShape(tuple(d)))
-
-
-seeds = st.integers(0, 2**32 - 1)
-
-
-def assert_same_float(value: float, ref: float) -> None:
-    assert value == ref
-    assert math.copysign(1.0, value) == math.copysign(1.0, ref)
-
-
 # --- tests -------------------------------------------------------------------
 
 def test_patterns_are_the_masks_in_ascending_order():
@@ -130,7 +110,7 @@ def test_patterns_are_the_masks_in_ascending_order():
 
 class TestBitEqualToStringPatterns:
     @SETTINGS
-    @given(shapes(max_dim=16))
+    @given(shapes(max_parties=4, max_dim=16))
     def test_observable(self, shape):
         for pattern in all_patterns(shape.n_parties):
             entries = observable(shape, pattern).entries
@@ -138,7 +118,7 @@ class TestBitEqualToStringPatterns:
             assert entries.tobytes() == ref.tobytes()
 
     @SETTINGS
-    @given(shapes(max_dim=36), st.integers(1, 6), seeds)
+    @given(shapes(max_parties=4, max_dim=36), st.integers(1, 6), seeds)
     def test_expectation_mixed(self, shape, rank, seed):
         rho = random_mixed(shape, min(rank, shape.total_dim), seed)
         for pattern in all_patterns(shape.n_parties):
@@ -146,7 +126,7 @@ class TestBitEqualToStringPatterns:
             assert_same_float(expectation_mixed(rho, pattern), ref)
 
     @SETTINGS
-    @given(shapes(max_dim=16), st.integers(1, 4), seeds)
+    @given(shapes(max_parties=4, max_dim=16), st.integers(1, 4), seeds)
     def test_naive_expectation(self, shape, rank, seed):
         rho = random_mixed(shape, min(rank, shape.total_dim), seed)
         pair = Operator(SpaceShape(shape.dims + shape.dims), np.kron(rho.entries, rho.entries))

@@ -14,14 +14,24 @@ shares no code with the package.
 
 from __future__ import annotations
 
-import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import NAIVE_TRACE_MAX_DIM, apply_local_unitary, naive_partial_trace, random_unitary
+from conftest import (
+    NAIVE_TRACE_MAX_DIM,
+    SETTINGS,
+    apply_local_unitary,
+    assert_same_float,
+    mapped_mask,
+    naive_partial_trace,
+    random_unitary,
+    seeds,
+    shapes,
+)
 from qcert import (
     MarginalSet,
     Operator,
@@ -48,8 +58,6 @@ from qcert import (
 from qcert.compatibility import _certificate
 from qcert.monogamy import _submasks
 from qcert.observables import all_patterns, expectation_pure
-
-SETTINGS = settings(max_examples=12, deadline=None)
 
 
 # --- reference loops ---------------------------------------------------------
@@ -185,24 +193,6 @@ def ref_expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
     return float(np.vdot(phi, work).real)
 
 
-# --- strategies --------------------------------------------------------------
-
-def shapes(min_parties=1, max_parties=6, max_dim=144, even=False):
-    dims = st.lists(st.sampled_from((2, 3)), min_size=min_parties, max_size=max_parties)
-    dims = dims.filter(lambda d: math.prod(d) <= max_dim)
-    if even:
-        dims = dims.filter(lambda d: len(d) % 2 == 0)
-    return dims.map(lambda d: SpaceShape(tuple(d)))
-
-
-seeds = st.integers(0, 2**32 - 1)
-
-
-def mapped_mask(bits: int, new_from_old) -> int:
-    """Mask of ``bits`` after position k takes old party new_from_old[k]."""
-    return sum(1 << k for k, old in enumerate(new_from_old) if bits >> old & 1)
-
-
 # --- the reference enumerator ------------------------------------------------
 
 class TestPartitionEnumeration:
@@ -328,6 +318,8 @@ class TestTable:
 # --- readers of the table against the old loops ------------------------------
 
 class TestBitEqualToOldLoops:
+    # The oracle is kept out of "all" here; TestAgainstOracle checks it. The
+    # patch is a context manager: hypothesis refuses function-scoped fixtures.
     @SETTINGS
     @given(shapes(even=True), seeds)
     def test_measure_routes(self, shape, seed):
@@ -336,7 +328,9 @@ class TestBitEqualToOldLoops:
         ref_subset_sum = ref_E_subset_sum(psi)
         assert measure_all(psi, "partitions").values["partitions"] == ref_partitions
         assert entanglement_E_subset_sum(psi) == ref_subset_sum
-        rep = measure_all(psi)
+        with mock.patch("qcert.oracle.exhaustive_fits", return_value=False):
+            rep = measure_all(psi)
+        assert rep.values["oracle"] is None
         assert rep.values["partitions"] == ref_partitions
         assert rep.values["subset_sum"] == ref_subset_sum
         assert rep.per_subset_purities == ref_subset_purities(psi)
@@ -346,7 +340,10 @@ class TestBitEqualToOldLoops:
     def test_subset_purities(self, shape, seed):
         psi = random_pure(shape, seed)
         ref = ref_subset_purities(psi)
-        purities = measure_all(psi).per_subset_purities
+        with mock.patch("qcert.oracle.exhaustive_fits", return_value=False):
+            rep = measure_all(psi)
+        assert rep.values["oracle"] is None
+        purities = rep.per_subset_purities
         assert purities == ref
         assert list(purities) == list(ref)
 
@@ -404,10 +401,8 @@ class TestBitEqualToOldLoops:
         basis[k % shape.total_dim] = -1.0
         for psi in (random_pure(shape, seed), PureState(shape, basis)):
             for pattern in all_patterns(shape.n_parties):
-                value = expectation_pure(psi, pattern)
                 ref = ref_expectation_pure(psi, pattern)
-                assert value == ref
-                assert math.copysign(1.0, value) == math.copysign(1.0, ref)
+                assert_same_float(expectation_pure(psi, pattern), ref)
 
 
 class TestAgainstOracle:

@@ -9,15 +9,12 @@ to rounding.
 
 from __future__ import annotations
 
-import math
-
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import apply_local_unitary, random_unitary
+from conftest import SETTINGS, apply_local_unitary, mapped_mask, random_unitary, seeds, shapes
 from qcert import (
     MarginalSet,
-    SpaceShape,
     SubsetMask,
     corollary1_scan,
     disorder_check,
@@ -28,24 +25,7 @@ from qcert import (
     theorem2_check,
 )
 
-SETTINGS = settings(max_examples=12, deadline=None)
 TOL = 1e-12
-
-seeds = st.integers(0, 2**32 - 1)
-
-
-def shapes(min_parties, max_parties, max_dim, even=False):
-    dims = st.lists(st.sampled_from((2, 3)), min_size=min_parties, max_size=max_parties)
-    dims = dims.filter(lambda d: math.prod(d) <= max_dim)
-    if even:
-        dims = dims.filter(lambda d: len(d) % 2 == 0)
-    return dims.map(lambda d: SpaceShape(tuple(d)))
-
-
-def mapped(index_set: SubsetMask, new_from_old) -> SubsetMask:
-    """``index_set`` after position k takes old party new_from_old[k]."""
-    bits = sum(1 << k for k, old in enumerate(new_from_old) if index_set.contains(old))
-    return SubsetMask(bits, index_set.n_parties)
 
 
 @SETTINGS
@@ -82,6 +62,6 @@ def test_monogamy_scan_under_relabelling(data, shape, seed):
     reports = corollary1_scan(psi)
     assert len(moved) == len(reports)
     for rep in reports:
-        other = moved[mapped(rep.index_set, perm)]
+        other = moved[SubsetMask(mapped_mask(rep.index_set.bits, perm), shape.n_parties)]
         assert abs(other.lhs - rep.lhs) <= TOL
         assert abs(other.rhs - rep.rhs) <= TOL

@@ -140,6 +140,11 @@ class TestSamplers:
         with pytest.raises(ValueError):
             random_mixed(SpaceShape((2, 2)), 5, 0)
 
+    def test_random_mixed_rejects_a_bool_rank(self):
+        # True would otherwise pass as rank 1 and return a pure state.
+        with pytest.raises(TypeError):
+            random_mixed(SpaceShape((2, 2)), True, 0)
+
     @pytest.mark.parametrize(
         "dims, rank, top",
         [((2, 2), 0, 4), ((2,) * 11, 2048, 512), ((2,) * 11, 513, 512)],
