@@ -58,10 +58,7 @@ _EXPORTS = {
         "all_patterns",
         "expectation_mixed",
         "expectation_pure",
-        "observable",
-        "pair_projector",
         "purity_via_observables",
-        "swap_matrix",
     ),
     "oracle": ("exhaustive_E",),
     "states": (

@@ -70,10 +70,9 @@ class MarginalSet:
         object.__setattr__(self, "entries", fixed)
 
     @classmethod
-    def from_global(cls, rho: Operator, masks=None) -> MarginalSet:
-        """Marginal set computed from a global state (all proper subsets by default)."""
-        if masks is None:
-            masks = required_subsets(rho.shape.n_parties)
+    def from_global(cls, rho: Operator) -> MarginalSet:
+        """Marginal set of every nonempty proper subset, computed from a global state."""
+        masks = required_subsets(rho.shape.n_parties)
         return cls(rho.shape, {m: partial_trace(rho, m) for m in masks})
 
 

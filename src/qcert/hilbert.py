@@ -125,8 +125,8 @@ class SubsetMask:
 def _operator_side(dims: tuple[int, ...]) -> int:
     """Side D of an operator on parties ``dims``; every D x D array is built after this check.
 
-    It takes the dims, not a ``SpaceShape``, so a doubled or joined space is
-    checked against this cap before its shape is checked against the state cap.
+    It takes the dims, not a ``SpaceShape``, so the joined space of ``tensor``
+    is checked against this cap before its shape is checked against the state cap.
     """
     d = math.prod(map(_index, dims))
     if d > OPERATOR_DIM_CAP:
@@ -266,19 +266,6 @@ def _require_density(rho: Operator, prefix: str) -> None:
         raise ValueError(f"{prefix}: {diag.describe()}")
 
 
-def _permute_matrix_factors(matrix: np.ndarray, dims, new_from_old) -> np.ndarray:
-    """Reorder the tensor factors of a square matrix.
-
-    ``new_from_old[k]`` is the old factor index placed at position k. The
-    callers, ``permute_parties`` and ``observable``, pass tuples and check it.
-    """
-    n = len(dims)
-    t = matrix.reshape(dims + dims)
-    t = np.transpose(t, new_from_old + tuple(n + p for p in new_from_old))
-    d = math.prod(dims)
-    return t.reshape(d, d)
-
-
 def permute_parties(obj: Operator | PureState, new_from_old) -> Operator | PureState:
     """Relabel parties: position k of the result holds old party new_from_old[k]."""
     perm = tuple(_index(p) for p in new_from_old)
@@ -289,4 +276,6 @@ def permute_parties(obj: Operator | PureState, new_from_old) -> Operator | PureS
     if isinstance(obj, PureState):
         t = obj.amplitudes.reshape(dims)
         return PureState(new_shape, np.transpose(t, perm).reshape(-1))
-    return Operator(new_shape, _permute_matrix_factors(obj.entries, dims, perm))
+    n = len(dims)
+    t = np.transpose(obj.entries.reshape(dims + dims), perm + tuple(n + p for p in perm))
+    return Operator(new_shape, t.reshape(obj.entries.shape))

@@ -4,8 +4,9 @@ Doubled-space layout is copy-major: all N parties of copy 1 first, then all
 N parties of copy 2, so the projector pair for party i acts on tensor factor
 positions (i, N+i). Expectations on states are evaluated by applying the
 per-party (I +- SWAP) contractions directly to the doubled vector, in place
-between two buffers of D^2 entries, and scaling the sum once by 2^-N; explicit
-doubled operators exist only for small systems and for auditing.
+between two buffers of D^2 entries, and scaling the sum once by 2^-N. No
+D^2 x D^2 operator is built; the tests hold the one explicit observable, as
+an audit route that shares no code with this kernel.
 
 A sign pattern is the ``SubsetMask`` of the parties that carry the
 antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
@@ -16,59 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .config import VECTOR_DIM_CAP
-from .hilbert import (
-    Operator,
-    PureState,
-    SpaceShape,
-    SubsetMask,
-    _check_mask,
-    _operator_side,
-    _permute_matrix_factors,
-)
+from .hilbert import Operator, PureState, SpaceShape, SubsetMask, _check_mask
 
 
 def all_patterns(n: int) -> list[SubsetMask]:
     """All 2^n sign patterns, each the mask of its antisymmetric parties, ascending."""
     return [SubsetMask(bits, n) for bits in range(1 << n)]
-
-
-def swap_matrix(d: int) -> np.ndarray:
-    """SWAP on the d x d pair space: |i,j> -> |j,i>."""
-    idx = np.arange(d * d)
-    s = np.zeros((d * d, d * d))
-    s[(idx % d) * d + idx // d, idx] = 1.0
-    return s
-
-
-def pair_projector(d: int, antisymmetric: bool) -> Operator:
-    """(I - SWAP)/2 when ``antisymmetric``, else (I + SWAP)/2, on two copies of C^d."""
-    if d < 2:
-        raise ValueError("pair_projector needs dimension >= 2")
-    eye = np.eye(_operator_side((d, d)))
-    swap = swap_matrix(d)
-    mat = (eye - swap) / 2.0 if antisymmetric else (eye + swap) / 2.0
-    return Operator(SpaceShape((d, d)), mat)
-
-
-def observable(shape: SpaceShape, pattern: SubsetMask) -> Operator:
-    """Explicit tensor product of per-party pair projectors on the doubled space.
-
-    The result acts on the copy-major layout (all parties of copy 1, then all
-    of copy 2). Its side D^2 must be within ``OPERATOR_DIM_CAP`` (D <= 64), checked
-    before any matrix is built; larger systems use the contraction routes.
-    """
-    _check_mask(shape, pattern)
-    _operator_side(shape.dims + shape.dims)
-    mat = np.eye(1)
-    interleaved: tuple[int, ...] = ()
-    for i, d in enumerate(shape.dims):
-        mat = np.kron(mat, pair_projector(d, pattern.contains(i)).entries)
-        interleaved = interleaved + (d, d)
-    n = shape.n_parties
-    # Built factor order is (0c1, 0c2, 1c1, 1c2, ...); reorder to copy-major.
-    new_from_old = tuple(2 * k for k in range(n)) + tuple(2 * k + 1 for k in range(n))
-    mat = _permute_matrix_factors(mat, interleaved, new_from_old)
-    return Operator(SpaceShape(shape.dims + shape.dims), mat)
 
 
 def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims) -> np.ndarray:

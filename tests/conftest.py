@@ -12,10 +12,12 @@ are audit routes written with numpy alone, apart from the ``PureState``
 constructor, so the tests that compare them with the package's routes share no
 code with those routes.
 
+``pair_projector`` and ``observable`` build the paper's two-copy projectors
+A_T as explicit numpy matrices; the package evaluates them only by contraction.
 ``naive_partial_trace`` runs the nested index loops of ``qcert.oracle``, the
 route ``qcert measure --route oracle`` runs, and ``naive_expectation`` traces
-against the explicit ``observable``; neither calls the reshaping partial trace
-or the two-copy contraction kernel they are compared with.
+against ``observable``; neither calls the reshaping partial trace or the
+two-copy contraction kernel they are compared with.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream, observable
+from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream
 from qcert.cli import main
 from qcert.hilbert import _check_mask
 from qcert.oracle import _naive_partial_trace_core
@@ -106,6 +108,29 @@ def swap_subset_expectation(psi: PureState, subset: SubsetMask) -> float:
     return float(np.vdot(phi, swapped).real)
 
 
+def pair_projector(d: int, antisymmetric: bool) -> np.ndarray:
+    """(I - SWAP)/2 when ``antisymmetric``, else (I + SWAP)/2, on two copies of C^d."""
+    eye = np.eye(d * d)
+    swap = eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return (eye - swap) / 2.0 if antisymmetric else (eye + swap) / 2.0
+
+
+def observable(shape: SpaceShape, pattern: SubsetMask) -> np.ndarray:
+    """A_pattern on the doubled space, copy-major: all parties of copy 1, then of copy 2.
+
+    (I - SWAP)/2 acts on the parties in ``pattern``, (I + SWAP)/2 on the rest.
+    """
+    mat = np.eye(1)
+    for i, d in enumerate(shape.dims):
+        mat = np.kron(mat, pair_projector(d, pattern.contains(i)))
+    # The Kronecker factors run (0c1, 0c2, 1c1, 1c2, ...); one transpose makes them copy-major.
+    n = shape.n_parties
+    interleaved = tuple(d for d in shape.dims for _ in range(2))
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    t = mat.reshape(interleaved + interleaved).transpose(order + tuple(2 * n + k for k in order))
+    return t.reshape(mat.shape)
+
+
 def naive_partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
     """Partial trace by explicit nested loops over multi-indices."""
     _check_mask(rho.shape, keep)
@@ -132,8 +157,7 @@ def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
             f"naive expectation is capped at doubled dimension {NAIVE_EXPECTATION_MAX_DIM}"
         )
     single = SpaceShape(dims[: len(dims) // 2])
-    a = observable(single, pattern)
-    return float(np.trace(a.entries @ state_pair.entries).real)
+    return float(np.trace(observable(single, pattern) @ state_pair.entries).real)
 
 
 def max_abs(a, b) -> float:

@@ -20,6 +20,7 @@ from qcert import (
     entanglement_E_subset_sum,
     ghz_state,
     measure_all,
+    partial_trace,
     purity,
     random_mixed,
     random_pure,
@@ -45,8 +46,10 @@ def write_state(tmp_path, name, state):
 
 
 def write_marginals(tmp_path, name, rho, subsets=None, global_purity=None):
-    marginals = MarginalSet.from_global(rho, subsets)
-    doc = marginal_file_dict(rho.shape, dict(marginals.entries), global_purity)
+    if subsets is None:
+        subsets = required_subsets(rho.shape.n_parties)
+    entries = {m: partial_trace(rho, m) for m in subsets}
+    doc = marginal_file_dict(rho.shape, entries, global_purity)
     path = tmp_path / name
     path.write_text(dumps(doc) + "\n")
     return str(path)

@@ -108,7 +108,8 @@ class TestTheorem2:
     def test_missing_subsets_are_inconclusive(self):
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 4, 2)
         subsets = [m for m in required_subsets(4) if m != mask([0, 2], 4)]
-        rep = theorem2_check(MarginalSet.from_global(rho, subsets))
+        marginals = MarginalSet(rho.shape, {m: partial_trace(rho, m) for m in subsets})
+        rep = theorem2_check(marginals)
         assert rep.verdict == "inconclusive"
         assert rep.missing_subsets == (mask([0, 2], 4),)
         assert rep.lhs is None and rep.slack is None

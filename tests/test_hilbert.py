@@ -20,8 +20,6 @@ from qcert import (
     PureState,
     SpaceShape,
     SubsetMask,
-    observable,
-    pair_projector,
     partial_trace,
     permute_parties,
     purity,
@@ -87,12 +85,6 @@ class TestIntegerIndices:
     def test_from_parties_rejects_non_integer_indices(self, parties):
         with pytest.raises(TypeError):
             SubsetMask.from_parties(parties, 2)
-
-    @pytest.mark.parametrize("d", [2.5, 3.0, 1e6])
-    def test_pair_projector_rejects_a_non_integer_dimension(self, d):
-        # 1e6 is over the operator cap too: the type is checked first.
-        with pytest.raises(TypeError):
-            pair_projector(d, True)
 
     @pytest.mark.parametrize("perm", [(1.2, 0), (1.0, 0), ("1", "0"), (True, False)])
     def test_permute_parties_rejects_non_integer_entries(self, perm):
@@ -308,7 +300,7 @@ class TestStateHelpers:
 # Side 4098, just over the operator cap of 4096; a 4098 x 4098 complex matrix is 269 MB.
 OVER_CAP = SpaceShape((2, 2049))
 SIDE_65 = Operator(SpaceShape((5, 13)), np.eye(65) / 65)
-# Side 1025: joined or doubled, the side 1025^2 = 1050625 is also over the state cap.
+# Side 1025: joined, the side 1025^2 = 1050625 is also over the state cap.
 SIDE_1025 = Operator(SpaceShape((1025,)), np.eye(1025) / 1025)
 
 
@@ -321,15 +313,10 @@ class TestCaps:
             (random_mixed, (OVER_CAP, 1, 0), 4098),
             (random_mixed, (OVER_CAP, 2, 0), 4098),
             (tensor, (SIDE_65, SIDE_65), 4225),
-            (observable, (SpaceShape((5, 13)), SubsetMask(0, 2)), 4225),
-            (pair_projector, (65, False), 4225),
             (tensor, (SIDE_1025, SIDE_1025), 1050625),
-            (observable, (SpaceShape((1025,)), SubsetMask(0, 1)), 1050625),
-            (pair_projector, (1025, True), 1050625),
         ],
         ids=["Operator", "density", "random_mixed-1", "random_mixed-2", "tensor",
-             "observable", "pair_projector", "tensor-1025", "observable-1025",
-             "pair_projector-1025"],
+             "tensor-1025"],
     )
     def test_operator_cap_is_checked_before_any_allocation(self, call, args, side):
         error, peak = traced_peak(call, *args)

@@ -56,11 +56,13 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(qcert, "ROUTES")
 
 
-# Test-only routes and wrappers taken out of the package: the audit routes are
-# helpers in tests/conftest.py, and the wrappers' callers use measure_all.
+# Test-only routes and wrappers taken out of the package: the audit routes and
+# the explicit two-copy observable are helpers in tests/conftest.py, and the
+# wrappers' callers use measure_all.
 REMOVED = ["apply_local_unitary", "entanglement_E_partitions", "entanglement_E_projector",
            "linear_entropy", "mutual_information", "naive_expectation", "naive_partial_trace",
-           "purify", "subset_purities", "swap_subset_expectation"]
+           "observable", "pair_projector", "purify", "subset_purities",
+           "swap_matrix", "swap_subset_expectation"]
 
 
 @pytest.mark.parametrize("name", REMOVED)

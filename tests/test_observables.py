@@ -1,14 +1,25 @@
-"""Pair projectors, factorizable observables, and swap-trick expectations."""
+"""Two-copy expectations, checked against the explicit observable of the tests.
+
+``TestPairProjectors`` and ``TestObservable`` check that the conftest builder
+is the projector the paper defines, since it is the audit's reference.
+"""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, naive_expectation, swap_subset_expectation
+from conftest import (
+    bell_state,
+    naive_expectation,
+    observable,
+    pair_projector,
+    swap_subset_expectation,
+)
 from qcert import (
     Operator,
     SpaceShape,
@@ -16,8 +27,6 @@ from qcert import (
     all_patterns,
     expectation_mixed,
     expectation_pure,
-    observable,
-    pair_projector,
     partial_trace,
     product_state,
     purity,
@@ -44,13 +53,13 @@ class TestPairProjectors:
     def test_singlet_projector_is_rank_one(self):
         p = pair_projector(2, True)
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        assert abs(np.trace(p.entries) - 1.0) < 1e-12
-        assert_allclose(p.entries, np.outer(singlet, singlet), atol=1e-15)
+        assert abs(np.trace(p) - 1.0) < 1e-12
+        assert_allclose(p, np.outer(singlet, singlet), atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_projector_algebra(self, d):
-        plus = pair_projector(d, False).entries
-        minus = pair_projector(d, True).entries
+        plus = pair_projector(d, False)
+        minus = pair_projector(d, True)
         assert_allclose(plus + minus, np.eye(d * d), atol=1e-12)
         assert_allclose(plus @ plus, plus, atol=1e-12)
         assert_allclose(minus @ minus, minus, atol=1e-12)
@@ -62,21 +71,33 @@ class TestPairProjectors:
 class TestObservable:
     def test_single_party_minus_is_singlet_projector(self):
         a = observable(SpaceShape((2,)), SubsetMask(1, 1))
-        assert_allclose(a.entries, pair_projector(2, True).entries, atol=1e-15)
+        assert_allclose(a, pair_projector(2, True), atol=1e-15)
 
     def test_all_plus_fixes_doubled_product_states(self):
         factors = [random_pure(SpaceShape((2,)), s) for s in (1, 2)]
         psi = product_state(factors)
         a = observable(psi.shape, SubsetMask(0, 2))
         phi = np.kron(psi.amplitudes, psi.amplitudes)
-        assert_allclose(a.entries @ phi, phi, atol=1e-12)
+        assert_allclose(a @ phi, phi, atol=1e-12)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_patterns_resolve_identity(self, dims):
         shape = SpaceShape(dims)
-        total = sum(observable(shape, p).entries for p in all_patterns(len(dims)))
+        total = sum(observable(shape, p) for p in all_patterns(len(dims)))
         d2 = shape.total_dim ** 2
         assert_allclose(total, np.eye(d2), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+    def test_every_pattern_is_a_projector_of_the_paper_rank(self, dims):
+        for pattern in all_patterns(len(dims)):
+            a = observable(SpaceShape(dims), pattern)
+            rank = math.prod(
+                d * (d - 1) // 2 if pattern.contains(i) else d * (d + 1) // 2
+                for i, d in enumerate(dims)
+            )
+            assert_allclose(a, a.T, rtol=0, atol=1e-12)
+            assert_allclose(a @ a, a, rtol=0, atol=1e-12)
+            assert abs(np.trace(a) - rank) < 1e-12
 
 
 class TestExpectationPure:

@@ -3,8 +3,8 @@
 A two-copy observable is fixed by the parties that carry the antisymmetric
 projector, so a pattern is the ``SubsetMask`` of those parties. Before that,
 a pattern was a tuple of '+'/'-' strings, one per party. The reference
-functions below are that code. The mask code keeps its arithmetic operation
-for operation, so the operators and expectations must match bit for bit.
+functions below are that code's expectation routes. The mask code keeps their
+arithmetic operation for operation, so the expectations must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SETTINGS, assert_same_float, naive_expectation, seeds, shapes
+from conftest import SETTINGS, assert_same_float, seeds, shapes
 from qcert import (
     Operator,
     PureState,
@@ -25,14 +25,12 @@ from qcert import (
     expectation_pure,
     ghz_state,
     normal_stream,
-    observable,
     product_state,
     random_mixed,
     random_pure,
     w_state,
 )
-from qcert.hilbert import _permute_matrix_factors
-from qcert.observables import _doubled_tensor, swap_matrix
+from qcert.observables import _doubled_tensor
 
 PLUS = "+"
 MINUS = "-"
@@ -43,25 +41,6 @@ MINUS = "-"
 def signs_of(pattern) -> tuple[str, ...]:
     """The '+'/'-' tuple of a mask: '-' for every antisymmetric party."""
     return tuple(MINUS if pattern.contains(i) else PLUS for i in range(pattern.n_parties))
-
-
-def ref_pair_projector(d: int, sign: str) -> Operator:
-    eye = np.eye(d * d)
-    swap = swap_matrix(d)
-    mat = (eye + swap) / 2.0 if sign == PLUS else (eye - swap) / 2.0
-    return Operator(SpaceShape((d, d)), mat)
-
-
-def ref_observable(shape: SpaceShape, signs) -> Operator:
-    mat = np.eye(1)
-    interleaved: tuple[int, ...] = ()
-    for d, sign in zip(shape.dims, signs):
-        mat = np.kron(mat, ref_pair_projector(d, sign).entries)
-        interleaved = interleaved + (d, d)
-    n = shape.n_parties
-    new_from_old = tuple(2 * k for k in range(n)) + tuple(2 * k + 1 for k in range(n))
-    mat = _permute_matrix_factors(mat, interleaved, new_from_old)
-    return Operator(SpaceShape(shape.dims + shape.dims), mat)
 
 
 def ref_apply_pair_projectors(tensor: np.ndarray, signs, n: int) -> np.ndarray:
@@ -92,13 +71,6 @@ def ref_expectation_mixed(rho: Operator, signs) -> float:
     return ref_expectation_from_eigs(vals, vecs, rho.shape.dims, signs)
 
 
-def ref_naive_expectation(state_pair: Operator, signs) -> float:
-    dims = state_pair.shape.dims
-    single = SpaceShape(dims[: len(dims) // 2])
-    a = ref_observable(single, signs)
-    return float(np.trace(a.entries @ state_pair.entries).real)
-
-
 # --- tests -------------------------------------------------------------------
 
 def test_patterns_are_the_masks_in_ascending_order():
@@ -110,29 +82,12 @@ def test_patterns_are_the_masks_in_ascending_order():
 
 class TestBitEqualToStringPatterns:
     @SETTINGS
-    @given(shapes(max_parties=4, max_dim=16))
-    def test_observable(self, shape):
-        for pattern in all_patterns(shape.n_parties):
-            entries = observable(shape, pattern).entries
-            ref = ref_observable(shape, signs_of(pattern)).entries
-            assert entries.tobytes() == ref.tobytes()
-
-    @SETTINGS
     @given(shapes(max_parties=4, max_dim=36), st.integers(1, 6), seeds)
     def test_expectation_mixed(self, shape, rank, seed):
         rho = random_mixed(shape, min(rank, shape.total_dim), seed)
         for pattern in all_patterns(shape.n_parties):
             ref = ref_expectation_mixed(rho, signs_of(pattern))
             assert_same_float(expectation_mixed(rho, pattern), ref)
-
-    @SETTINGS
-    @given(shapes(max_parties=4, max_dim=16), st.integers(1, 4), seeds)
-    def test_naive_expectation(self, shape, rank, seed):
-        rho = random_mixed(shape, min(rank, shape.total_dim), seed)
-        pair = Operator(SpaceShape(shape.dims + shape.dims), np.kron(rho.entries, rho.entries))
-        for pattern in all_patterns(shape.n_parties):
-            ref = ref_naive_expectation(pair, signs_of(pattern))
-            assert_same_float(naive_expectation(pair, pattern), ref)
 
     @pytest.mark.parametrize("name", ["ghz", "w", "product"])
     def test_expectation_pure_with_exact_zeros(self, name):
