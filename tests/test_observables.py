@@ -87,17 +87,22 @@ class TestObservable:
         d2 = shape.total_dim ** 2
         assert_allclose(total, np.eye(d2), atol=1e-12)
 
-    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
-    def test_every_pattern_is_a_projector_of_the_paper_rank(self, dims):
-        for pattern in all_patterns(len(dims)):
-            a = observable(SpaceShape(dims), pattern)
-            rank = math.prod(
-                d * (d - 1) // 2 if pattern.contains(i) else d * (d + 1) // 2
-                for i, d in enumerate(dims)
-            )
-            assert_allclose(a, a.T, rtol=0, atol=1e-12)
-            assert_allclose(a @ a, a, rtol=0, atol=1e-12)
-            assert abs(np.trace(a) - rank) < 1e-12
+    # One case per pattern T, so a failure names the pattern.
+    @pytest.mark.parametrize(
+        "dims, bits",
+        [(dims, bits) for dims in [(2, 3), (2, 2, 2)] for bits in range(1 << len(dims))],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"T{v:b}",
+    )
+    def test_every_pattern_is_a_projector_of_the_paper_rank(self, dims, bits):
+        pattern = SubsetMask(bits, len(dims))
+        a = observable(SpaceShape(dims), pattern)
+        rank = math.prod(
+            d * (d - 1) // 2 if pattern.contains(i) else d * (d + 1) // 2
+            for i, d in enumerate(dims)
+        )
+        assert_allclose(a, a.T, rtol=0, atol=1e-12)
+        assert_allclose(a @ a, a, rtol=0, atol=1e-12)
+        assert abs(np.trace(a) - rank) < 1e-12
 
 
 class TestExpectationPure:
