@@ -54,12 +54,7 @@ _EXPORTS = {
         "corollary1_scan",
         "disorder_check",
     ),
-    "observables": (
-        "all_patterns",
-        "expectation_mixed",
-        "expectation_pure",
-        "purity_via_observables",
-    ),
+    "observables": ("expectation_pure",),
     "oracle": ("exhaustive_E",),
     "states": (
         "ghz_state",

@@ -23,18 +23,20 @@ def w_state(n: int) -> PureState:
     """(|0...01> + |0...010> + ... + |10...0>)/sqrt(n) on n qubits."""
     if n < 2:
         raise ValueError("w_state needs at least 2 parties")
+    shape = _qubits(n)
     amp = np.zeros(1 << n, dtype=complex)
     amp[[1 << k for k in range(n)]] = 1.0 / math.sqrt(n)
-    return PureState(_qubits(n), amp)
+    return PureState(shape, amp)
 
 
 def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValueError("ghz_state needs at least 2 parties")
+    shape = _qubits(n)
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(_qubits(n), amp)
+    return PureState(shape, amp)
 
 
 def product_state(factors) -> PureState:
@@ -42,12 +44,11 @@ def product_state(factors) -> PureState:
     factors = list(factors)
     if not factors:
         raise ValueError("product_state needs at least one factor")
-    dims: tuple[int, ...] = ()
+    shape = SpaceShape(tuple(d for f in factors for d in f.shape.dims))
     amp = np.ones(1, dtype=complex)
     for f in factors:
-        dims = dims + f.shape.dims
         amp = np.kron(amp, f.amplitudes)
-    return PureState(SpaceShape(dims), amp)
+    return PureState(shape, amp)
 
 
 def normal_stream(seed: int, count: int) -> np.ndarray:

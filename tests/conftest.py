@@ -18,6 +18,12 @@ A_T as explicit numpy matrices; the package evaluates them only by contraction.
 route ``qcert measure --route oracle`` runs, and ``naive_expectation`` traces
 against ``observable``; neither calls the reshaping partial trace or the
 two-copy contraction kernel they are compared with.
+
+``expectation_mixed``, ``purity_via_observables`` and ``all_patterns`` are the
+mixed two-copy route, which no ``qcert`` command runs: Tr(A_T rho x rho) as a
+weighted sum over eigenpairs of rho, each pair through the package's private
+contraction kernel. It reads no partial trace and no purity table, so it
+audits those, not the projector route whose kernel it shares.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from hypothesis import strategies as st
 
 from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream
 from qcert.cli import main
+from qcert.config import VECTOR_DIM_CAP
 from qcert.hilbert import _check_mask
+from qcert.observables import _apply_pair_projectors, _doubled_fits, _doubled_tensor
 from qcert.oracle import _naive_partial_trace_core
 
 NAIVE_TRACE_MAX_DIM = 64
@@ -158,6 +166,53 @@ def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:
         )
     single = SpaceShape(dims[: len(dims) // 2])
     return float(np.trace(observable(single, pattern) @ state_pair.entries).real)
+
+
+def all_patterns(n: int) -> list[SubsetMask]:
+    """All 2^n sign patterns, each the mask of its antisymmetric parties, ascending."""
+    return [SubsetMask(bits, n) for bits in range(1 << n)]
+
+
+def expectation_mixed(rho: Operator, pattern: SubsetMask) -> float:
+    """Tr(A_pattern rho x rho) via the eigendecomposition of rho.
+
+    Reduces to pure-pair contractions sum_kl lam_k lam_l <k,l|A|k,l>, avoiding
+    any D^2 x D^2 matrix. Every one of the D^2 eigenpairs with a nonzero
+    weight runs, tiny eigenvalues included.
+    """
+    _check_mask(rho.shape, pattern)
+    if not _doubled_fits(rho.shape):
+        d = rho.shape.total_dim
+        raise ValueError(
+            f"doubled vector of length {d * d} exceeds the state cap {VECTOR_DIM_CAP}"
+        )
+    m = rho.entries
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
+    dims = rho.shape.dims
+    total = 0.0
+    for k in range(len(vals)):
+        for l in range(len(vals)):
+            weight = vals[k] * vals[l]
+            if weight == 0.0:
+                continue
+            # The kernel overwrites its input, so phi is built again for the vdot.
+            work = _apply_pair_projectors(_doubled_tensor(vecs[:, k], vecs[:, l], dims), pattern)
+            phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims)
+            total += weight * float(np.vdot(phi, work).real)
+    return total * 0.5 ** len(dims)
+
+
+def purity_via_observables(rho: Operator) -> float:
+    """Tr rho^2 recovered as 1 - 2 * sum of odd-antisymmetric expectations.
+
+    Each term is ``expectation_mixed`` of one odd pattern, added in ascending
+    mask order.
+    """
+    total = 0.0
+    for pattern in all_patterns(rho.shape.n_parties):
+        if pattern.is_odd:
+            total += expectation_mixed(rho, pattern)
+    return 1.0 - 2.0 * total
 
 
 def max_abs(a, b) -> float:

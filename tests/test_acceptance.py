@@ -12,26 +12,31 @@ import time
 
 import numpy as np
 
-from conftest import apply_local_unitary, naive_expectation, naive_partial_trace, random_unitary
+from conftest import (
+    all_patterns,
+    apply_local_unitary,
+    expectation_mixed,
+    naive_expectation,
+    naive_partial_trace,
+    purity_via_observables,
+    random_unitary,
+)
 from qcert import (
     MarginalSet,
     Operator,
     SpaceShape,
     SubsetMask,
-    all_patterns,
     corollary1_check,
     corollary1_scan,
     disorder_check,
     entanglement_E_subset_sum,
     exhaustive_E,
-    expectation_mixed,
     expectation_pure,
     ghz_state,
     measure_all,
     partial_trace,
     permute_parties,
     purity,
-    purity_via_observables,
     random_mixed,
     random_pure,
     self_check,

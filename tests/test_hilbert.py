@@ -20,8 +20,10 @@ from qcert import (
     PureState,
     SpaceShape,
     SubsetMask,
+    ghz_state,
     partial_trace,
     permute_parties,
+    product_state,
     purity,
     random_mixed,
     random_pure,
@@ -302,6 +304,9 @@ OVER_CAP = SpaceShape((2, 2049))
 SIDE_65 = Operator(SpaceShape((5, 13)), np.eye(65) / 65)
 # Side 1025: joined, the side 1025^2 = 1050625 is also over the state cap.
 SIDE_1025 = Operator(SpaceShape((1025,)), np.eye(1025) / 1025)
+# 21 qubit factors, or one beside a 20-qubit factor, make 2^21 amplitudes:
+# twice the state cap, a 32 MB vector.
+QUBIT = PureState(SpaceShape((2,)), np.array([1.0, 0.0]))
 
 
 class TestCaps:
@@ -322,6 +327,22 @@ class TestCaps:
         error, peak = traced_peak(call, *args)
         assert isinstance(error, ValueError)
         assert str(error) == f"operator side {side} exceeds the operator cap 4096"
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize(
+        "call, make_args",
+        [
+            (w_state, lambda: (21,)),
+            (ghz_state, lambda: (21,)),
+            (product_state, lambda: ([QUBIT] * 21,)),
+            (product_state, lambda: ([ghz_state(20), QUBIT],)),  # the factor is built untraced
+        ],
+        ids=["w_state", "ghz_state", "product-21-qubits", "product-20-and-1"],
+    )
+    def test_state_cap_is_checked_before_any_allocation(self, call, make_args):
+        error, peak = traced_peak(call, *make_args())
+        assert isinstance(error, ValueError)
+        assert str(error) == "total dimension 2097152 exceeds the state cap 1048576"
         assert peak < 4 << 20
 
     def test_operator_cap_comes_before_the_shape_check(self):

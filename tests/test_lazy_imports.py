@@ -59,9 +59,10 @@ def test_unknown_name_raises_attribute_error():
 # Test-only routes and wrappers taken out of the package: the audit routes and
 # the explicit two-copy observable are helpers in tests/conftest.py, and the
 # wrappers' callers use measure_all.
-REMOVED = ["apply_local_unitary", "entanglement_E_partitions", "entanglement_E_projector",
-           "linear_entropy", "mutual_information", "naive_expectation", "naive_partial_trace",
-           "observable", "pair_projector", "purify", "subset_purities",
+REMOVED = ["all_patterns", "apply_local_unitary", "entanglement_E_partitions",
+           "entanglement_E_projector", "expectation_mixed", "linear_entropy",
+           "mutual_information", "naive_expectation", "naive_partial_trace", "observable",
+           "pair_projector", "purify", "purity_via_observables", "subset_purities",
            "swap_matrix", "swap_subset_expectation"]
 
 
@@ -75,16 +76,19 @@ def test_removed_name_is_defined_by_no_module(name):
         assert not hasattr(module, name), f"qcert.{info.name}.{name}"
 
 
-def test_oracle_imports_nothing_from_the_routes_it_audits():
-    # Read with ast, not imported: the audit must share no code with the fast path.
+@pytest.mark.parametrize("route", ["oracle", "observables"])
+def test_oracle_imports_nothing_from_the_routes_it_audits(route):
+    # Read with ast, not imported: an audit route must share no code with the
+    # fast path or with the other audit route.
     names = set()
-    for node in ast.walk(ast.parse((SRC / "qcert" / "oracle.py").read_text())):
+    for node in ast.walk(ast.parse((SRC / "qcert" / f"{route}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             names.add(node.module or "")  # "" for "from . import name"
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     parts = {part for name in names for part in name.split(".")}
-    assert not parts & {"measures", "observables", "monogamy", "compatibility"}, names
+    routes = {"measures", "monogamy", "compatibility", "oracle", "observables"}
+    assert not parts & (routes - {route}), names
 
 
 def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):

@@ -14,23 +14,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    all_patterns,
     bell_state,
+    expectation_mixed,
     naive_expectation,
     observable,
     pair_projector,
+    purity_via_observables,
     swap_subset_expectation,
 )
 from qcert import (
     Operator,
     SpaceShape,
     SubsetMask,
-    all_patterns,
-    expectation_mixed,
     expectation_pure,
     partial_trace,
     product_state,
     purity,
-    purity_via_observables,
     random_mixed,
     random_pure,
 )

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import bell_state, max_abs, naive_expectation, naive_partial_trace
+from conftest import all_patterns, bell_state, max_abs, naive_expectation, naive_partial_trace
 from qcert import (
     Operator,
     SpaceShape,
     SubsetMask,
-    all_patterns,
     exhaustive_E,
     ghz_state,
     measure_all,

@@ -5,6 +5,9 @@ projector, so a pattern is the ``SubsetMask`` of those parties. Before that,
 a pattern was a tuple of '+'/'-' strings, one per party. The reference
 functions below are that code's expectation routes. The mask code keeps their
 arithmetic operation for operation, so the expectations must match bit for bit.
+The pins read the package's ``expectation_pure``, one kernel pass, and the
+mixed audit route ``expectation_mixed`` of ``conftest``, which runs the same
+kernel once per eigenpair.
 """
 
 from __future__ import annotations
@@ -14,14 +17,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SETTINGS, assert_same_float, seeds, shapes
+from conftest import (
+    SETTINGS,
+    all_patterns,
+    assert_same_float,
+    expectation_mixed,
+    seeds,
+    shapes,
+)
 from qcert import (
     Operator,
     PureState,
     SpaceShape,
     SubsetMask,
-    all_patterns,
-    expectation_mixed,
     expectation_pure,
     ghz_state,
     normal_stream,

@@ -4,7 +4,7 @@ The reference functions below are the loops that the per-subset purities
 of ``measure_all``, its partition and subset-sum routes, ``corollary1_check``
 and ``disorder_check`` ran before every subset quantity read one table, the
 certificate's own signed loop, and the swap contraction ``expectation_pure``
-ran before it became the one-eigenpair case of the mixed route. The table
+ran before it became one pass of the pair-projector kernel. The table
 and the two ordered reductions over it must give the same floats bit for
 bit, since they keep the accumulation order. The package's partition
 route is reached through ``measure_all``, which has no per-route wrapper.
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from conftest import (
     NAIVE_TRACE_MAX_DIM,
     SETTINGS,
+    all_patterns,
     apply_local_unitary,
     assert_same_float,
     mapped_mask,
@@ -57,7 +58,7 @@ from qcert import (
 )
 from qcert.compatibility import _certificate
 from qcert.monogamy import _submasks
-from qcert.observables import all_patterns, expectation_pure
+from qcert.observables import expectation_pure
 
 
 # --- reference loops ---------------------------------------------------------
