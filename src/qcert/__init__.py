@@ -34,9 +34,7 @@ _EXPORTS = {
         "SpaceShape",
         "SubsetMask",
         "partial_trace",
-        "permute_parties",
         "purity",
-        "tensor",
         "validate_density",
     ),
     "measures": (

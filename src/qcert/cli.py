@@ -225,8 +225,9 @@ def _read_json(path: str):
         return obj
 
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+        # RFC 8259: JSON exchanged between systems is UTF-8, whatever the locale.
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -3,15 +3,15 @@
 Index convention, fixed package-wide: party 0 occupies the most significant
 index block, so the basis label (i_0, ..., i_{N-1}) maps to the flat index
 ((i_0 * d_1 + i_1) * d_2 + ...) * d_{N-1} + i_{N-1}. This is exactly numpy's
-C-order reshape, and it makes ``tensor`` coincide with ``numpy.kron`` with the
-first argument's parties in front.
+C-order reshape, so the operator of a product of two systems is ``numpy.kron``
+with the first system's parties in front.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to call concurrently.
 Reductions over subsets run in ascending bitmask order, which keeps repeated
-runs bit-for-bit identical. Dimensions, mask fields, party indices and
-permutation entries must be integers (Python or numpy ints, stored as int);
-a bool, float or string raises ``TypeError`` rather than being truncated.
+runs bit-for-bit identical. Dimensions, mask fields and party indices must
+be integers (Python or numpy ints, stored as int); a bool, float or string
+raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
@@ -123,11 +123,7 @@ class SubsetMask:
 
 
 def _operator_side(dims: tuple[int, ...]) -> int:
-    """Side D of an operator on parties ``dims``; every D x D array is built after this check.
-
-    It takes the dims, not a ``SpaceShape``, so the joined space of ``tensor``
-    is checked against this cap before its shape is checked against the state cap.
-    """
+    """Side D of an operator on parties ``dims``; every D x D array is built after this check."""
     d = math.prod(map(_index, dims))
     if d > OPERATOR_DIM_CAP:
         raise ValueError(f"operator side {d} exceeds the operator cap {OPERATOR_DIM_CAP}")
@@ -174,13 +170,6 @@ class PureState:
     def density(self) -> Operator:
         _operator_side(self.shape.dims)
         return Operator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with ``a``'s parties preceding ``b``'s."""
-    dims = a.shape.dims + b.shape.dims
-    _operator_side(dims)
-    return Operator(SpaceShape(dims), np.kron(a.entries, b.entries))
 
 
 def _check_mask(shape: SpaceShape, mask: SubsetMask) -> None:
@@ -265,17 +254,3 @@ def _require_density(rho: Operator, prefix: str) -> None:
     if not diag.passes:
         raise ValueError(f"{prefix}: {diag.describe()}")
 
-
-def permute_parties(obj: Operator | PureState, new_from_old) -> Operator | PureState:
-    """Relabel parties: position k of the result holds old party new_from_old[k]."""
-    perm = tuple(_index(p) for p in new_from_old)
-    dims = obj.shape.dims
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError(f"{perm} is not a permutation of 0..{len(dims) - 1}")
-    new_shape = SpaceShape(tuple(dims[p] for p in perm))
-    if isinstance(obj, PureState):
-        t = obj.amplitudes.reshape(dims)
-        return PureState(new_shape, np.transpose(t, perm).reshape(-1))
-    n = len(dims)
-    t = np.transpose(obj.entries.reshape(dims + dims), perm + tuple(n + p for p in perm))
-    return Operator(new_shape, t.reshape(obj.entries.shape))

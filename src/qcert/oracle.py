@@ -65,13 +65,13 @@ def _naive_purity(matrix: np.ndarray) -> float:
 
 
 def exhaustive_fits(shape: SpaceShape) -> bool:
-    """True when ``exhaustive_E`` accepts ``shape``.
+    """True when ``exhaustive_E`` accepts ``shape``: an even N and D up to EXHAUSTIVE_MAX_DIM.
 
-    That is an even N up to EXHAUSTIVE_MAX_PARTIES and D up to EXHAUSTIVE_MAX_DIM;
-    the dimension cap bounds the D x D density it forms and its Python loops.
+    The dimension cap bounds the D x D density it forms and its Python loops.
+    Every party has d >= 2, so D >= 2^N and D <= 256 already means N <= 8 =
+    EXHAUSTIVE_MAX_PARTIES; the party cap is named only in the error message.
     """
-    n = shape.n_parties
-    return n % 2 == 0 and n <= EXHAUSTIVE_MAX_PARTIES and shape.total_dim <= EXHAUSTIVE_MAX_DIM
+    return shape.n_parties % 2 == 0 and shape.total_dim <= EXHAUSTIVE_MAX_DIM
 
 
 def exhaustive_E(psi: PureState) -> float:

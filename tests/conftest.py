@@ -1,16 +1,20 @@
 """Shared helpers for the test suite, each defined once.
 
 ``SETTINGS``, ``seeds`` and ``shapes`` are the property tests' hypothesis
-settings and strategies; ``mask``, ``mapped_mask`` (a mask after
-``permute_parties``), ``bell_state`` and ``random_unitary`` build inputs;
+settings and strategies; ``mask``, ``bell_state``, ``random_unitary`` and
+``kron`` (the operator of a product of two systems) build inputs;
 ``assert_same_float`` checks equality bit for bit, the sign of zero included;
 ``run_cli`` runs one ``qcert`` command in process, and ``error_message`` reads
 the message of its exit-2 error document.
 
-``apply_local_unitary``, ``mutual_information`` and ``swap_subset_expectation``
-are audit routes written with numpy alone, apart from the ``PureState``
-constructor, so the tests that compare them with the package's routes share no
-code with those routes.
+``permute_parties`` relabels the parties of a state or an operator, and
+``mapped_mask`` maps a subset mask the same way: position k holds old party
+new_from_old[k]. The package has no relabelling; the invariance tests use these.
+
+``apply_local_unitary``, ``permute_parties``, ``mutual_information`` and
+``swap_subset_expectation`` are audit routes written with numpy alone, apart
+from the package's constructors, so the tests that compare them with the
+package's routes share no code with those routes.
 
 ``pair_projector`` and ``observable`` build the paper's two-copy projectors
 A_T as explicit numpy matrices; the package evaluates them only by contraction.
@@ -66,6 +70,23 @@ def mask(parties, n: int) -> SubsetMask:
 def mapped_mask(bits: int, new_from_old) -> int:
     """Mask of ``bits`` after position k takes old party new_from_old[k]."""
     return sum(1 << k for k, old in enumerate(new_from_old) if bits >> old & 1)
+
+
+def permute_parties(obj: PureState | Operator, new_from_old) -> PureState | Operator:
+    """``obj`` with position k holding old party new_from_old[k]."""
+    perm = tuple(new_from_old)
+    dims = obj.shape.dims
+    shape = SpaceShape(tuple(dims[p] for p in perm))
+    if isinstance(obj, PureState):
+        return PureState(shape, obj.amplitudes.reshape(dims).transpose(perm).reshape(-1))
+    n = len(dims)
+    t = obj.entries.reshape(dims + dims).transpose(perm + tuple(n + p for p in perm))
+    return Operator(shape, t.reshape(obj.entries.shape))
+
+
+def kron(a: Operator, b: Operator) -> Operator:
+    """The operator a x b, ``a``'s parties first."""
+    return Operator(SpaceShape(a.shape.dims + b.shape.dims), np.kron(a.entries, b.entries))
 
 
 def bell_state() -> PureState:

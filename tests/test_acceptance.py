@@ -18,6 +18,7 @@ from conftest import (
     expectation_mixed,
     naive_expectation,
     naive_partial_trace,
+    permute_parties,
     purity_via_observables,
     random_unitary,
 )
@@ -35,7 +36,6 @@ from qcert import (
     ghz_state,
     measure_all,
     partial_trace,
-    permute_parties,
     purity,
     random_mixed,
     random_pure,

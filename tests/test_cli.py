@@ -404,6 +404,14 @@ class TestInputHandling:
         code, out = run_cli(capsys, "measure", "--state", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag", [("measure", "--state"), ("compat", "--marginals")])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, command, flag):
+        # JSON files are read as UTF-8 whatever the locale; a bad byte names the file.
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff{"dims": [2]}')
+        message = error_message(*run_cli(capsys, command, flag, str(path)))
+        assert message.startswith(f"{path}: ")
+
     def test_non_density_matrix_rejected(self, tmp_path, capsys):
         doc = {
             "dims": [2],

@@ -56,14 +56,14 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(qcert, "ROUTES")
 
 
-# Test-only routes and wrappers taken out of the package: the audit routes and
-# the explicit two-copy observable are helpers in tests/conftest.py, and the
-# wrappers' callers use measure_all.
+# Test-only routes and wrappers taken out of the package: the audit routes, the
+# explicit two-copy observable, the party relabelling and the operator product
+# are helpers in tests/conftest.py, and the wrappers' callers use measure_all.
 REMOVED = ["all_patterns", "apply_local_unitary", "entanglement_E_partitions",
            "entanglement_E_projector", "expectation_mixed", "linear_entropy",
            "mutual_information", "naive_expectation", "naive_partial_trace", "observable",
-           "pair_projector", "purify", "purity_via_observables", "subset_purities",
-           "swap_matrix", "swap_subset_expectation"]
+           "pair_projector", "permute_parties", "purify", "purity_via_observables",
+           "subset_purities", "swap_matrix", "swap_subset_expectation", "tensor"]
 
 
 @pytest.mark.parametrize("name", REMOVED)

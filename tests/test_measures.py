@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import apply_local_unitary, bell_state, mask, mutual_information, random_unitary
+from conftest import (
+    apply_local_unitary,
+    bell_state,
+    mask,
+    mutual_information,
+    permute_parties,
+    random_unitary,
+)
 from qcert import (
     Operator,
     SpaceShape,
@@ -16,7 +23,6 @@ from qcert import (
     i_concurrence_sq,
     measure_all,
     partial_trace,
-    permute_parties,
     product_state,
     purity,
     random_mixed,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import mask
+from conftest import kron, mask
 from qcert import measures
 from qcert import (
     SpaceShape,
@@ -19,7 +19,6 @@ from qcert import (
     random_mixed,
     random_pure,
     self_check,
-    tensor,
     w_state,
 )
 
@@ -97,7 +96,7 @@ class TestDisorder:
     def test_two_party_product_state(self):
         a = random_mixed(SpaceShape((2,)), 2, 1)
         b = random_mixed(SpaceShape((2,)), 2, 2)
-        rep = disorder_check(tensor(a, b))
+        rep = disorder_check(kron(a, b))
         # 1 - p1*p2 <= (1 - p1) + (1 - p2) always.
         assert rep.holds
         expected_lhs = 1.0 - purity(a) * purity(b)

@@ -29,6 +29,7 @@ from conftest import (
     assert_same_float,
     mapped_mask,
     naive_partial_trace,
+    permute_parties,
     random_unitary,
     seeds,
     shapes,
@@ -48,7 +49,6 @@ from qcert import (
     marginal_purity,
     measure_all,
     partial_trace,
-    permute_parties,
     purity,
     purity_table,
     random_mixed,

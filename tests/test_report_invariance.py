@@ -12,13 +12,20 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SETTINGS, apply_local_unitary, mapped_mask, random_unitary, seeds, shapes
+from conftest import (
+    SETTINGS,
+    apply_local_unitary,
+    mapped_mask,
+    permute_parties,
+    random_unitary,
+    seeds,
+    shapes,
+)
 from qcert import (
     MarginalSet,
     SubsetMask,
     corollary1_scan,
     disorder_check,
-    permute_parties,
     random_mixed,
     random_pure,
     theorem1_check,

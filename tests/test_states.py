@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import mask, max_abs
+from conftest import mask, max_abs, permute_parties
 from qcert import (
     PureState,
     SpaceShape,
@@ -16,7 +16,6 @@ from qcert import (
     measure_all,
     normal_stream,
     partial_trace,
-    permute_parties,
     product_state,
     purity,
     random_mixed,
