@@ -11,7 +11,7 @@ the message of its exit-2 error document.
 ``mapped_mask`` maps a subset mask the same way: position k holds old party
 new_from_old[k]. The package has no relabelling; the invariance tests use these.
 
-``apply_local_unitary``, ``permute_parties``, ``mutual_information`` and
+``apply_local_unitary``, ``mutual_information`` and
 ``swap_subset_expectation`` are audit routes written with numpy alone, apart
 from the package's constructors, so the tests that compare them with the
 package's routes share no code with those routes.
