@@ -22,12 +22,7 @@ import numpy as np
 
 from .config import TOL_INPUT, TOL_VERDICT
 from .hilbert import (
-    Operator,
-    SpaceShape,
-    SubsetMask,
-    _require_density,
-    partial_trace,
-    purity,
+    Operator, SpaceShape, SubsetMask, _reduced_matrix, _require_density, partial_trace, purity,
 )
 from .measures import _signed_sum
 
@@ -210,10 +205,9 @@ def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:
         for big in keys[i + 1:]:
             if small.bits & ~big.bits:
                 continue
-            # Bit k of rel is set when the k-th party of big is in small.
-            rel = sum(1 << k for k, p in enumerate(big.parties) if small.bits >> p & 1)
-            reduced = partial_trace(marginals.entries[big], SubsetMask(rel, big.cardinality))
-            dev = float(np.max(np.abs(reduced.entries - marginals.entries[small].entries)))
+            op = marginals.entries[big]
+            reduced = _reduced_matrix(op.entries, op.shape.dims, big.parties, small.bits)
+            dev = float(np.max(np.abs(reduced - marginals.entries[small].entries)))
             if dev > TOL_INPUT:
                 out.append(MarginalMismatch(small, big, dev))
     return out

@@ -122,9 +122,9 @@ class SubsetMask:
         return SubsetMask(self.bits ^ ((1 << self.n_parties) - 1), self.n_parties)
 
 
-def _operator_side(dims: tuple[int, ...]) -> int:
-    """Side D of an operator on parties ``dims``; every D x D array is built after this check."""
-    d = math.prod(map(_index, dims))
+def _operator_side(shape: SpaceShape) -> int:
+    """Side D of an operator on ``shape``; every D x D array is built after this check."""
+    d = shape.total_dim
     if d > OPERATOR_DIM_CAP:
         raise ValueError(f"operator side {d} exceeds the operator cap {OPERATOR_DIM_CAP}")
     return d
@@ -138,7 +138,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        d = _operator_side(self.shape.dims)
+        d = _operator_side(self.shape)
         m = np.array(self.entries, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
@@ -148,12 +148,14 @@ class Operator:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A dense complex state vector tagged with its composite shape."""
+    """A dense complex state vector tagged with its composite shape of at least one party."""
 
     shape: SpaceShape
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if not self.shape.dims:
+            raise ValueError("a state needs at least one party")
         a = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if a.size != self.shape.total_dim:
             raise ValueError(
@@ -168,7 +170,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", a)
 
     def density(self) -> Operator:
-        _operator_side(self.shape.dims)
+        _operator_side(self.shape)
         return Operator(self.shape, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
@@ -177,6 +179,19 @@ def _check_mask(shape: SpaceShape, mask: SubsetMask) -> None:
         raise ValueError(
             f"mask is over {mask.n_parties} parties but the shape has {shape.n_parties}"
         )
+
+
+def _reduced_matrix(m: np.ndarray, dims: tuple[int, ...], parties, keep: int) -> np.ndarray:
+    """The matrix ``m`` with every party outside the bitmask ``keep`` traced out.
+
+    ``m`` acts on the ascending global labels ``parties`` (dims ``dims``); ``keep`` masks them too.
+    """
+    n = len(dims)
+    kept = [k for k, p in enumerate(parties) if keep >> p & 1]
+    # Repeated einsum labels on row/column axes trace out the dropped parties.
+    labels = [*range(n), *(n + k if keep >> p & 1 else k for k, p in enumerate(parties))]
+    reduced = np.einsum(m.reshape(dims + dims), labels, [*kept, *(n + k for k in kept)])
+    return reduced.reshape(math.prod(dims[k] for k in kept), -1)
 
 
 def partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
@@ -191,17 +206,8 @@ def partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
         return Operator(SpaceShape(()), [[np.trace(rho.entries)]])
     if keep.is_full:
         return rho
-    dims = rho.shape.dims
-    n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    # Repeated einsum labels on row/column axes trace out the dropped parties.
-    labels = list(range(n)) + [n + p if keep.contains(p) else p for p in range(n)]
-    kept = keep.parties
-    out_labels = [*kept, *(n + p for p in kept)]
-    reduced = np.einsum(t, labels, out_labels)
-    sub = rho.shape.subshape(keep)
-    d = sub.total_dim
-    return Operator(sub, reduced.reshape(d, d))
+    reduced = _reduced_matrix(rho.entries, rho.shape.dims, range(keep.n_parties), keep.bits)
+    return Operator(rho.shape.subshape(keep), reduced)
 
 
 def purity(rho: Operator) -> float:

@@ -42,8 +42,6 @@ def ghz_state(n: int) -> PureState:
 def product_state(factors) -> PureState:
     """Tensor product of pure states on the concatenated shape."""
     factors = list(factors)
-    if not factors:
-        raise ValueError("product_state needs at least one factor")
     shape = SpaceShape(tuple(d for f in factors for d in f.shape.dims))
     amp = np.ones(1, dtype=complex)
     for f in factors:
@@ -93,7 +91,7 @@ def random_mixed(shape: SpaceShape, rank: int, seed: int) -> Operator:
     D is capped first; rank runs over 1..min(D, VECTOR_DIM_CAP // D), the D * rank
     amplitudes of the purification being within the state cap.
     """
-    d = _operator_side(shape.dims)
+    d = _operator_side(shape)
     rank = _index(rank)
     top = min(d, VECTOR_DIM_CAP // d)
     if not 1 <= rank <= top:

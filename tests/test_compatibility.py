@@ -28,6 +28,7 @@ from qcert import (
     w_state,
 )
 from qcert.cli import dumps, eq8_marginal_file, parse_marginal_dict
+from qcert.hilbert import _reduced_matrix
 
 
 def eq8_set() -> MarginalSet:
@@ -135,14 +136,36 @@ class TestConsistencyPrecheck:
         # 4 singles x 6 supersets + 6 pairs x 2 supersets among 14 proper marginals.
         calls = []
 
-        def counted(rho, keep):
+        def counted(m, dims, parties, keep):
             calls.append(keep)
-            return partial_trace(rho, keep)
+            return _reduced_matrix(m, dims, parties, keep)
 
         marginals = MarginalSet.from_global(random_mixed(SpaceShape((2, 2, 2, 2)), 3, 15))
-        monkeypatch.setattr("qcert.compatibility.partial_trace", counted)
+        monkeypatch.setattr("qcert.compatibility._reduced_matrix", counted)
         assert consistency_precheck(marginals) == []
         assert len(calls) == 36
+
+    def test_reduces_each_nested_pair_as_partial_trace_does(self, monkeypatch):
+        # The kernel's matrix, over global labels, against partial_trace on the
+        # superset's own 0..k-1 labels, with the relabelled mask built here.
+        seen = []
+
+        def recorded(m, dims, parties, keep):
+            out = _reduced_matrix(m, dims, parties, keep)
+            seen.append((parties, keep, out))
+            return out
+
+        rho = random_mixed(SpaceShape((2, 2, 3, 2)), 5, 16)
+        marginals = MarginalSet.from_global(rho)
+        monkeypatch.setattr("qcert.compatibility._reduced_matrix", recorded)
+        assert consistency_precheck(marginals) == []
+        assert len(seen) == 36
+        for parties, keep, out in seen:
+            big = marginals.entries[SubsetMask.from_parties(parties, 4)]
+            rel = sum(1 << k for k, p in enumerate(parties) if keep >> p & 1)
+            expected = partial_trace(big, SubsetMask(rel, len(parties))).entries
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
 
 
 class TestSelfCheck:

@@ -226,6 +226,21 @@ class TestStateHelpers:
         with pytest.raises(ValueError, match="finite"):
             PureState(SpaceShape((2,)), [1.0, bad])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PureState(SpaceShape(()), [1.0]),
+            lambda: random_pure(SpaceShape(()), 0),
+            lambda: random_mixed(SpaceShape(()), 1, 0),
+            lambda: product_state([]),
+        ],
+        ids=["PureState", "random_pure", "random_mixed", "product_state"],
+    )
+    def test_pure_state_needs_a_party(self, build):
+        # Only an operator may have no parties: partial_trace's 1x1 result for an empty keep.
+        with pytest.raises(ValueError, match="^a state needs at least one party$"):
+            build()
+
     def test_permute_parties_roundtrip(self):
         psi = random_pure(SpaceShape((2, 3, 2)), 21)
         perm = (2, 0, 1)
