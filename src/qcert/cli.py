@@ -220,7 +220,7 @@ def _read_json(path: str):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ValueError(f"{path}: duplicate key {key!r}")
+                raise ValueError(f"duplicate key {key!r}")
             obj[key] = value
         return obj
 
@@ -229,6 +229,8 @@ def _read_json(path: str):
         return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # a duplicate key, or an integer literal past 4300 digits
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_state_file(path: str) -> PureState | Operator:

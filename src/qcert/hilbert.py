@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import OPERATOR_DIM_CAP, TOL_INPUT, VECTOR_DIM_CAP
+
+_PRODUCT_BOUND = 1 << 64  # far above VECTOR_DIM_CAP: a shape's product stops past it
 
 
 def _index(value) -> int:
@@ -34,31 +36,33 @@ def _index(value) -> int:
 
 @dataclass(frozen=True)
 class SpaceShape:
-    """Party count and per-party dimensions of a composite space.
+    """Party count, per-party dimensions (each >= 2) and total dimension of a composite space.
 
-    ``dims`` may be empty only for the degenerate scalar space produced by
-    tracing out every party.
+    ``dims`` is empty only for the scalar space left by tracing out every party. One pass checks
+    the dims and forms ``total_dim``, multiplying no further past 2**64; an error names one party.
     """
 
     dims: tuple[int, ...]
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = tuple(_index(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every party dimension must be >= 2, got {dims}")
-        if self.total_dim > VECTOR_DIM_CAP:
-            raise ValueError(
-                f"total dimension {self.total_dim} exceeds the state cap {VECTOR_DIM_CAP}"
-            )
+        total = 1
+        for p, d in enumerate(dims):
+            if d < 2:
+                shown = d if d >= -_PRODUCT_BOUND else "a number below -2**64"
+                raise ValueError(f"every party dimension must be >= 2, got {shown} for party {p}")
+            if total <= _PRODUCT_BOUND:
+                total *= d
+        if total > VECTOR_DIM_CAP:
+            size = total if total <= _PRODUCT_BOUND else f"of {len(dims)} parties"
+            raise ValueError(f"total dimension {size} exceeds the state cap {VECTOR_DIM_CAP}")
+        object.__setattr__(self, "total_dim", total)
 
     @property
     def n_parties(self) -> int:
         return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     def full_mask(self) -> SubsetMask:
         return SubsetMask((1 << self.n_parties) - 1, self.n_parties)

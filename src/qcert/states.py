@@ -15,15 +15,11 @@ from .config import VECTOR_DIM_CAP
 from .hilbert import Operator, PureState, SpaceShape, _index, _operator_side
 
 
-def _qubits(n: int) -> SpaceShape:
-    return SpaceShape((2,) * n)
-
-
 def w_state(n: int) -> PureState:
     """(|0...01> + |0...010> + ... + |10...0>)/sqrt(n) on n qubits."""
     if n < 2:
         raise ValueError("w_state needs at least 2 parties")
-    shape = _qubits(n)
+    shape = SpaceShape((2,) * n)
     amp = np.zeros(1 << n, dtype=complex)
     amp[[1 << k for k in range(n)]] = 1.0 / math.sqrt(n)
     return PureState(shape, amp)
@@ -33,7 +29,7 @@ def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValueError("ghz_state needs at least 2 parties")
-    shape = _qubits(n)
+    shape = SpaceShape((2,) * n)
     amp = np.zeros(1 << n, dtype=complex)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return PureState(shape, amp)
@@ -64,8 +60,6 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     pairs = (count + 1) // 2
-    if pairs == 0:
-        return np.empty(0)
     raw = np.random.Philox(key=seed).random_raw(2 * pairs)
     u = ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[0::2]))

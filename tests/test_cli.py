@@ -412,6 +412,27 @@ class TestInputHandling:
         message = error_message(*run_cli(capsys, command, flag, str(path)))
         assert message.startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("command, flag", [("measure", "--state"), ("compat", "--marginals")])
+    def test_integer_past_the_digit_limit_is_named(self, tmp_path, capsys, command, flag):
+        # Python refuses to convert an integer literal of more than 4300 digits.
+        path = tmp_path / "long.json"
+        path.write_text('{"dims": [' + "1" * 5000 + "]}")
+        message = error_message(*run_cli(capsys, command, flag, str(path)))
+        assert message.startswith(f"{path}: Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ([2] * 1_000_000, "total dimension of 1000000 parties exceeds the state cap 1048576"),
+            ([10**3000, 10**3000], "total dimension of 2 parties exceeds the state cap 1048576"),
+        ],
+        ids=["million-qubits", "3001-digit-dims"],
+    )
+    def test_oversized_dims_exit_2_with_a_short_message(self, tmp_path, capsys, dims, message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dims": dims, "kind": "pure", "vector": []}))
+        assert error_message(*run_cli(capsys, "measure", "--state", str(path))) == message
+
     def test_non_density_matrix_rejected(self, tmp_path, capsys):
         doc = {
             "dims": [2],
@@ -436,6 +457,69 @@ def write_json(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+HALF = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (("measure", "--state"), "[]", "state file: top level must be a JSON object"),
+            (
+                ("measure", "--state"),
+                '{"dims": [], "kind": "pure", "vector": []}',
+                "state file: 'dims' must be a nonempty list of integers",
+            ),
+            (
+                ("measure", "--state"),
+                '{"dims": [2], "kind": "dense"}',
+                "state file: 'kind' must be 'pure' or 'mixed'",
+            ),
+            (("compat", "--marginals"), "[]", "marginal file: top level must be a JSON object"),
+            (
+                ("compat", "--marginals"),
+                '{"dims": [2, 2.0], "marginals": []}',
+                "marginal file: 'dims' must be a nonempty list of integers",
+            ),
+            (
+                ("compat", "--marginals"),
+                '{"dims": [2, 2], "marginals": []}',
+                "marginal file: 'marginals' must be a nonempty list",
+            ),
+            (
+                ("compat", "--marginals"),
+                '{"dims": [2, 2], "marginals": [[0]]}',
+                "marginal file entry 0: must be an object",
+            ),
+            (
+                ("compat", "--marginals"),
+                '{"dims": [2, 2], "marginals": [{"parties": [1, 0], "matrix": []}]}',
+                "marginal file entry 0: "
+                "'parties' must be a strictly increasing list of party indices",
+            ),
+            (
+                ("compat", "--marginals"),
+                '{"dims": [2, 2], "marginals": [{"parties": [0], "matrix": %s}, '
+                '{"parties": [0], "matrix": %s}]}' % (HALF, HALF),
+                "marginal file entry 1: duplicate marginal for parties [0]",
+            ),
+            (
+                ("sample", "--dims", "2,x"),
+                None,
+                "--dims must be comma-separated integers, got '2,x'",
+            ),
+        ],
+        ids=[
+            "state-top-level", "state-dims", "state-kind", "marginal-top-level", "marginal-dims",
+            "marginals-empty", "entry-not-object", "parties-order", "duplicate", "dims-flag",
+        ],
+    )
+    def test_exits_2_with_the_message(self, tmp_path, capsys, argv, text, message):
+        if text is not None:
+            argv = (*argv, write_json(tmp_path, "input.json", text))
+        assert error_message(*run_cli(capsys, *argv)) == message
 
 
 class TestUnknownKeys:

@@ -24,11 +24,13 @@ from conftest import (
     traced_peak,
 )
 from qcert import (
+    MarginalSet,
     Operator,
     PureState,
     SpaceShape,
     SubsetMask,
     ghz_state,
+    normal_stream,
     partial_trace,
     product_state,
     purity,
@@ -335,6 +337,31 @@ class TestCaps:
         assert str(error) == "total dimension 2097152 exceeds the state cap 1048576"
         assert peak < 4 << 20
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((2,) * 1_000_000, "total dimension of 1000000 parties exceeds the state cap 1048576"),
+            ((10**3000, 10**3000), "total dimension of 2 parties exceeds the state cap 1048576"),
+            ((2,) * 65, "total dimension of 65 parties exceeds the state cap 1048576"),
+            ((2,) * 64, "total dimension 18446744073709551616 exceeds the state cap 1048576"),
+            (
+                (2,) * 1000 + (0,) + (2,) * 1000,
+                "every party dimension must be >= 2, got 0 for party 1000",
+            ),
+            (
+                (2, -(10**4000)),
+                "every party dimension must be >= 2, got a number below -2**64 for party 1",
+            ),
+        ],
+        ids=["million", "3001-digits", "65-qubits", "64-qubits", "one-zero", "huge-negative"],
+    )
+    def test_shape_errors_are_short_and_name_one_party(self, dims, message):
+        # The product stops past 2**64, so no message prints a larger number or the whole tuple.
+        with pytest.raises(ValueError) as info:
+            SpaceShape(dims)
+        assert str(info.value) == message
+        assert len(message) < 200
+
     def test_operator_cap_comes_before_the_shape_check(self):
         with pytest.raises(ValueError, match="^operator side 4098 exceeds the operator cap 4096$"):
             Operator(OVER_CAP, np.eye(2))
@@ -348,3 +375,25 @@ class TestCaps:
         psi = random_pure(SpaceShape((2, 2)), 0)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
+
+
+class TestLibraryRejections:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: MarginalSet(SpaceShape((2, 2)), {mask([0], 3): qubit_op(np.eye(2) / 2)}),
+                "marginal key is over a different party count",
+            ),
+            (lambda: qubit_op(np.eye(3)), "expected a 2x2 matrix, got shape (3, 3)"),
+            (lambda: PureState(SpaceShape((2, 2)), [1, 0, 0]), "expected 4 amplitudes, got 3"),
+            (lambda: SubsetMask(0, 0), "subset mask needs at least one party"),
+            (lambda: ghz_state(1), "ghz_state needs at least 2 parties"),
+            (lambda: normal_stream(0, -1), "count must be nonnegative"),
+        ],
+        ids=["marginal-key", "operator-shape", "amplitude-count", "empty-mask", "ghz-1", "count"],
+    )
+    def test_raises_the_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

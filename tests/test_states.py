@@ -101,6 +101,10 @@ class TestSamplers:
         assert a.shape == (11,)
         assert np.array_equal(a, b)
 
+    def test_normal_stream_of_no_draws_is_an_empty_float_array(self):
+        z = normal_stream(7, 0)
+        assert z.dtype == np.float64 and z.shape == (0,)
+
     @pytest.mark.parametrize("seed", [-1, 2**128, True, 1.0, "1"])
     @pytest.mark.parametrize("count", [0, 3])
     def test_normal_stream_rejects_a_seed_outside_the_key_range(self, seed, count):
