@@ -291,7 +291,8 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
     subject = "marginal file: 'global_purity'"
     if "global_purity" in data:  # a null is checked too, and is not a number
         # Checked here, so a flag that overrides the field does not hide a bad one.
-        global_purity = checked_global_purity(marginals, global_purity, subject)
+        full = entries.get(shape.full_mask())
+        global_purity = checked_global_purity(shape, global_purity, subject, full)
     return marginals, global_purity
 
 
@@ -434,10 +435,15 @@ def cmd_disorder(args) -> tuple[dict, int]:
 
 
 def _parse_dims_arg(text: str) -> SpaceShape:
+    """The shape ``--dims`` names; an error shows at most 40 characters of the text."""
     try:
         dims = tuple(int(piece) for piece in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"--dims must be comma-separated integers, got {text!r}") from exc
+        if str(exc).startswith("Exceeds the limit"):  # Python's guard on long digit strings
+            limit = f"{sys.get_int_max_str_digits()}-digit conversion limit"
+            raise ValueError(f"--dims entry exceeds Python's {limit}") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"--dims must be comma-separated integers, got {shown}") from exc
     return SpaceShape(dims)
 
 

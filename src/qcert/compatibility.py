@@ -9,7 +9,9 @@ sum_{|A| odd} Tr rho_A^2 - sum_{|A| even} Tr rho_A^2 over nonempty subsets A
 by 1, where the full-set term is Tr rho^2 of the global state: read from a
 full-set marginal when one is provided, otherwise fixed at 1 when a pure
 global state is claimed, supplied by the caller for mixed global states, and
-defaulted to the compatibility-friendliest value 1 when unknown.
+defaulted to the compatibility-friendliest value 1 when unknown. One core reads
+only those purities, keyed by mask bits: a marginal set enters through the purity
+of each matrix, and ``self_check`` through its state's ``purity_table``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .config import TOL_INPUT, TOL_VERDICT
 from .hilbert import (
     Operator, SpaceShape, SubsetMask, _reduced_matrix, _require_density, partial_trace, purity,
 )
-from .measures import _signed_sum
+from .measures import _signed_sum, purity_table
 
 BEST_CASE = "best-case"
 
@@ -91,12 +93,14 @@ class CompatReport:
     assumed_global_purity: float | str
 
 
-def checked_global_purity(marginals: MarginalSet, g, subject: str) -> float:
-    """``g`` as a float, once it is a possible global purity of ``marginals``.
+def checked_global_purity(
+    shape: SpaceShape, g, subject: str, full: Operator | None = None
+) -> float:
+    """``g`` as a float, once it is a possible global purity of a state of ``shape``.
 
     The one global-purity check: ``g`` must be a real number, not a bool (numpy
     numbers pass), finite as a float, in [1/D, 1], and within TOL_INPUT of the
-    purity of a full-set marginal, if any. It raises ``ValueError`` naming ``subject``.
+    purity of ``full``, a full-set marginal, if any. It raises ``ValueError`` naming ``subject``.
     """
     if isinstance(g, bool) or not isinstance(g, Real):
         raise ValueError(f"{subject} must be a number")
@@ -104,10 +108,9 @@ def checked_global_purity(marginals: MarginalSet, g, subject: str) -> float:
         g = float(g)
     except OverflowError:  # an integer beyond double range
         raise ValueError(f"{subject} must be a finite number") from None
-    lowest = 1.0 / marginals.shape.total_dim
+    lowest = 1.0 / shape.total_dim
     if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
         raise ValueError(f"{subject} must lie in [1/D, 1] = [{lowest}, 1], got {g}")
-    full = marginals.entries.get(marginals.shape.full_mask())
     if full is not None and abs(g - purity(full)) > TOL_INPUT:
         raise ValueError(
             f"{subject} {g} differs from the full-set marginal's purity {purity(full)}"
@@ -116,43 +119,42 @@ def checked_global_purity(marginals: MarginalSet, g, subject: str) -> float:
 
 
 def _certificate(
-    marginals: MarginalSet,
-    theorem: str,
-    claimed_purity: float | None,
+    dims: tuple[int, ...], purities: Mapping[int, float], claimed: float | None, theorem: str
 ) -> CompatReport:
-    """Bound the alternating purity sum of ``marginals``.
+    """Bound the alternating sum of ``purities``, a purity map keyed by mask bits.
 
-    The full-set term is the purity of a provided full-set marginal, otherwise
-    ``claimed_purity`` (already passed through ``checked_global_purity``), or
-    the best case 1 when that is None.
+    The full-set term is the map's full-set entry, otherwise ``claimed`` (already
+    passed through ``checked_global_purity``), or the best case 1 when that is None.
     """
-    n = marginals.shape.n_parties
-    needed = required_subsets(n)
-    purities = {mask: purity(op) for mask, op in marginals.entries.items()}
-    global_purity = purities.get(marginals.shape.full_mask(), claimed_purity)
+    n = len(dims)
+    full = (1 << n) - 1
+    global_purity = purities.get(full, claimed)
     recorded_purity: float | str = global_purity
     if global_purity is None:
         global_purity, recorded_purity = 1.0, BEST_CASE
-    missing = tuple(m for m in needed if m not in purities)
+    missing = tuple(SubsetMask(bits, n) for bits in range(1, full) if bits not in purities)
     lhs = lhs_proper = slack = None
     verdict = VERDICT_INCONCLUSIVE
     if not missing:
-        lhs_proper = _signed_sum((mask.bits, purities[mask]) for mask in needed)
+        lhs_proper = _signed_sum((bits, purities[bits]) for bits in range(1, full))
         full_sign = 1.0 if n % 2 == 1 else -1.0
         lhs = lhs_proper + full_sign * global_purity
         slack = 1.0 - lhs
         verdict = VERDICT_INCOMPATIBLE if slack < -TOL_VERDICT else VERDICT_CONSISTENT
+    per_subset = {SubsetMask(bits, n): value for bits, value in purities.items()}
     return CompatReport(
-        theorem,
-        marginals.shape.dims,
-        lhs,
-        lhs_proper,
-        slack,
-        verdict,
-        purities,
-        missing,
-        recorded_purity,
+        theorem, dims, lhs, lhs_proper, slack, verdict, per_subset, missing, recorded_purity
     )
+
+
+def _marginal_certificate(marginals: MarginalSet, theorem: str, g: float | None) -> CompatReport:
+    """The certificate of ``marginals``: their purities, in ascending mask order, feed the core."""
+    shape = marginals.shape
+    full = marginals.entries.get(shape.full_mask())
+    if g is not None:
+        g = checked_global_purity(shape, g, "global purity", full)
+    purities = {mask.bits: purity(op) for mask, op in marginals.entries.items()}
+    return _certificate(shape.dims, purities, g, theorem)
 
 
 def theorem1_check(marginals: MarginalSet) -> CompatReport:
@@ -160,8 +162,7 @@ def theorem1_check(marginals: MarginalSet) -> CompatReport:
 
     A provided full-set marginal must then be pure within TOL_INPUT.
     """
-    g = checked_global_purity(marginals, 1.0, "global purity")
-    return _certificate(marginals, "theorem1", g)
+    return _marginal_certificate(marginals, "theorem1", 1.0)
 
 
 def theorem2_check(
@@ -174,12 +175,9 @@ def theorem2_check(
     assumed and recorded as "best-case"; the verdict can then only be
     looser, never stricter. A supplied value must lie in [1/D, 1].
     """
-    n = marginals.shape.n_parties
-    if n % 2 == 1:
+    if marginals.shape.n_parties % 2 == 1:
         raise ValueError("this certificate requires an even party count")
-    if global_purity is not None:
-        global_purity = checked_global_purity(marginals, global_purity, "global purity")
-    return _certificate(marginals, "theorem2", global_purity)
+    return _marginal_certificate(marginals, "theorem2", global_purity)
 
 
 @dataclass(frozen=True)
@@ -216,10 +214,13 @@ def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:
 def self_check(rho: Operator) -> CompatReport:
     """Certificate of a known global state against its own marginals.
 
-    Validates ``rho``, then runs the even-N certificate with the true global
-    purity; any valid state must come out with nonnegative slack up to numerics.
+    Validates ``rho`` once, then runs the even-N certificate on its purity table:
+    the proper entries as the map, the last entry as the true global purity. Any
+    valid state must come out with nonnegative slack up to numerics.
     """
     if rho.shape.n_parties % 2 == 1:
         raise ValueError("this certificate requires an even party count")
     _require_density(rho, "self_check needs a valid density matrix")
-    return theorem2_check(MarginalSet.from_global(rho), global_purity=purity(rho))
+    table = purity_table(rho)
+    g = checked_global_purity(rho.shape, table[-1], "global purity")
+    return _certificate(rho.shape.dims, dict(enumerate(table[1:-1], 1)), g, "theorem2")

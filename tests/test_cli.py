@@ -521,6 +521,17 @@ class TestRejectedInputs:
             argv = (*argv, write_json(tmp_path, "input.json", text))
         assert error_message(*run_cli(capsys, *argv)) == message
 
+    def test_dims_flag_beyond_the_integer_conversion_limit(self, capsys):
+        message = error_message(*run_cli(capsys, "sample", "--dims", "9" * 5000))
+        assert message == "--dims entry exceeds Python's 4300-digit conversion limit"
+
+    def test_dims_flag_echo_is_bounded(self, capsys):
+        message = error_message(*run_cli(capsys, "sample", "--dims", "2," * 2500 + "x"))
+        assert message == (
+            "--dims must be comma-separated integers, got "
+            f"{'2,' * 20!r}... (5001 characters)"
+        )
+
 
 class TestUnknownKeys:
     """A misspelt key is an input error, not a silently ignored field."""

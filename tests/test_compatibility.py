@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import mask
+from conftest import SETTINGS, mask, seeds, shapes
+from qcert import hilbert
 from qcert import (
     MarginalSet,
     Operator,
@@ -28,6 +33,7 @@ from qcert import (
     w_state,
 )
 from qcert.cli import dumps, eq8_marginal_file, parse_marginal_dict
+from qcert.compatibility import _certificate
 from qcert.hilbert import _reduced_matrix
 
 
@@ -197,6 +203,50 @@ class TestSelfCheck:
             "self_check needs a valid density matrix: hermiticity deviation 0, "
             "trace deviation 0, min eigenvalue -0.0375 (tol 1e-08)"
         )
+
+
+class TestSelfCheckFeed:
+    @SETTINGS
+    @given(st.data(), shapes(even=True), seeds)
+    def test_equals_the_marginal_set_route(self, data, shape, seed):
+        rho = random_mixed(shape, data.draw(st.integers(1, shape.total_dim), label="rank"), seed)
+        assert self_check(rho) == theorem2_check(MarginalSet.from_global(rho), purity(rho))
+
+    def test_validates_the_state_once(self, monkeypatch):
+        checked = []
+        validate = hilbert.validate_density
+
+        def counted(op):
+            checked.append(op)
+            return validate(op)
+
+        monkeypatch.setattr(hilbert, "validate_density", counted)
+        rho = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 4)
+        self_check(rho)
+        assert len(checked) == 1 and checked[0] is rho
+        MarginalSet.from_global(rho)  # the marginal-set route validates every proper marginal
+        assert len(checked) == 1 + 14
+
+
+class TestPurityMapCore:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_ame_qubit_tables_under_the_pure_claim(self, n):
+        # The table a hypothetical AME(n,2) state would have, with no matrices behind it.
+        table = {bits: 2.0 ** -min(bits.bit_count(), n - bits.bit_count())
+                 for bits in range(1, (1 << n) - 1)}
+        rep = _certificate((2,) * n, table, 1.0, "theorem1")
+        lhs = sum((-1) ** (k + 1) * comb(n, k) * Fraction(1, 2 ** min(k, n - k))
+                  for k in range(1, n))
+        exact = 1 - (lhs + (-1) ** (n + 1))
+        assert Fraction(rep.slack) == exact
+        if n % 2 == 1:
+            assert exact == 0
+        # n = 4 is the known non-existence of AME(4,2) (Higuchi and Sudbery, Phys.
+        # Lett. A 273, 213 (2000)). This one inequality does not reach n = 10 or 14.
+        expected = {4: Fraction(-1, 2), 8: Fraction(-13, 8), 12: Fraction(-83, 16)}
+        assert (rep.verdict == "incompatible") == (n in expected)
+        if n in expected:
+            assert exact == expected[n]
 
 
 class TestMarginalSetValidation:

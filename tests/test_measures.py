@@ -15,6 +15,7 @@ from conftest import (
 )
 from qcert import (
     Operator,
+    PureState,
     SpaceShape,
     SubsetMask,
     entanglement_E_subset_sum,
@@ -138,6 +139,17 @@ class TestMeasureRoutes:
             shuffled = permute_parties(psi, perm)
             for a, b in zip(all_routes(shuffled), reference):
                 assert abs(a - b) < 1e-10
+
+    def test_entangled_state_with_zero_measure(self):
+        # A Bell pair on parties {1, 3}, parties 0 and 2 in |0>: E is not faithful.
+        amplitudes = np.zeros((2, 2, 2, 2))
+        amplitudes[0, 0, 0, 0] = amplitudes[0, 1, 0, 1] = 1 / np.sqrt(2.0)
+        psi = PureState(SpaceShape((2, 2, 2, 2)), amplitudes.reshape(-1))
+        assert abs(i_concurrence_sq(psi, mask([1], 4)) - 1.0) < 1e-12
+        values = measure_all(psi).values
+        assert all(v is not None for v in values.values())
+        for value in values.values():
+            assert abs(value) <= 1e-12
 
     def test_two_party_equivalences(self):
         psi = random_pure(SpaceShape((2, 3)), 12)

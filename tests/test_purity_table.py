@@ -389,7 +389,8 @@ class TestBitEqualToOldLoops:
         marginals = MarginalSet(shape, entries)
         claimed = data.draw(st.sampled_from([None, purity(rho)]), label="claim")
         ref = ref_certificate(marginals, claimed)
-        rep = _certificate(marginals, "theorem2", claimed)
+        purities = {mask.bits: purity(op) for mask, op in marginals.entries.items()}
+        rep = _certificate(shape.dims, purities, claimed, "theorem2")
         assert (rep.lhs, rep.lhs_proper, rep.slack) == ref
         if shape.n_parties % 2 == 0:
             rep = theorem2_check(marginals, claimed)
