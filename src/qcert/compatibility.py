@@ -10,8 +10,8 @@ by 1, where the full-set term is Tr rho^2 of the global state: read from a
 full-set marginal when one is provided, otherwise fixed at 1 when a pure
 global state is claimed, supplied by the caller for mixed global states, and
 defaulted to the compatibility-friendliest value 1 when unknown. One core reads
-only those purities, keyed by mask bits: a marginal set enters through the purity
-of each matrix, and ``self_check`` through its state's ``purity_table``.
+only those purities, keyed by mask bits: a marginal set, which holds claimed matrices
+only, through the purity of each, and ``self_check`` through its state's ``purity_table``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import TOL_INPUT, TOL_VERDICT
 from .hilbert import (
-    Operator, SpaceShape, SubsetMask, _reduced_matrix, _require_density, partial_trace, purity,
+    Operator, SpaceShape, SubsetMask, _reduced_matrix, _require_density, purity,
 )
 from .measures import _signed_sum, purity_table
 
@@ -43,7 +43,7 @@ def required_subsets(n: int) -> tuple[SubsetMask, ...]:
 
 @dataclass(frozen=True, eq=False)
 class MarginalSet:
-    """Claimed reduced density matrices, keyed by the parties they live on."""
+    """Claimed reduced density matrices from a file or a caller, keyed by their parties."""
 
     shape: SpaceShape
     entries: Mapping[SubsetMask, Operator]
@@ -65,12 +65,6 @@ class MarginalSet:
             _require_density(op, f"marginal on parties {mask.parties} is not a density matrix")
             fixed[mask] = op
         object.__setattr__(self, "entries", fixed)
-
-    @classmethod
-    def from_global(cls, rho: Operator) -> MarginalSet:
-        """Marginal set of every nonempty proper subset, computed from a global state."""
-        masks = required_subsets(rho.shape.n_parties)
-        return cls(rho.shape, {m: partial_trace(rho, m) for m in masks})
 
 
 @dataclass(frozen=True)

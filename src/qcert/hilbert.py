@@ -201,13 +201,11 @@ def _reduced_matrix(m: np.ndarray, dims: tuple[int, ...], parties, keep: int) ->
 def partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
     """Trace out every party not in ``keep``.
 
-    The kept parties retain their original relative order. An empty ``keep``
-    yields the degenerate 1x1 operator [Tr rho] so subset sweeps can treat
-    the empty set uniformly.
+    The kept parties retain their original relative order. The kernel also takes
+    an empty ``keep``, giving the 1x1 operator [Tr rho] on the scalar space, so
+    subset sweeps treat the empty set uniformly; a full ``keep`` returns ``rho``.
     """
     _check_mask(rho.shape, keep)
-    if keep.is_empty:
-        return Operator(SpaceShape(()), [[np.trace(rho.entries)]])
     if keep.is_full:
         return rho
     reduced = _reduced_matrix(rho.entries, rho.shape.dims, range(keep.n_parties), keep.bits)

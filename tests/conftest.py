@@ -7,6 +7,11 @@ settings and strategies; ``mask``, ``bell_state``, ``random_unitary`` and
 ``run_cli`` runs one ``qcert`` command in process, and ``error_message`` reads
 the message of its exit-2 error document.
 
+``marginal_set`` builds the claimed marginal set of a known state: every
+nonempty proper subset, each matrix by ``partial_trace``. The package builds
+no such set itself; a known state is checked by ``self_check`` from its
+purity table.
+
 ``permute_parties`` relabels the parties of a state or an operator, and
 ``mapped_mask`` maps a subset mask the same way: position k holds old party
 new_from_old[k]. The package has no relabelling; the invariance tests use these.
@@ -40,7 +45,16 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from qcert import Operator, PureState, SpaceShape, SubsetMask, normal_stream
+from qcert import (
+    MarginalSet,
+    Operator,
+    PureState,
+    SpaceShape,
+    SubsetMask,
+    normal_stream,
+    partial_trace,
+    required_subsets,
+)
 from qcert.cli import main
 from qcert.config import VECTOR_DIM_CAP
 from qcert.hilbert import _check_mask
@@ -65,6 +79,12 @@ def shapes(min_parties=1, max_parties=6, max_dim=144, even=False):
 
 def mask(parties, n: int) -> SubsetMask:
     return SubsetMask.from_parties(parties, n)
+
+
+def marginal_set(rho: Operator) -> MarginalSet:
+    """The marginals of ``rho`` on every nonempty proper subset, as a claimed set."""
+    masks = required_subsets(rho.shape.n_parties)
+    return MarginalSet(rho.shape, {m: partial_trace(rho, m) for m in masks})
 
 
 def mapped_mask(bits: int, new_from_old) -> int:
@@ -168,8 +188,7 @@ def naive_partial_trace(rho: Operator, keep: SubsetMask) -> Operator:
             f"naive partial trace is capped at dimension {NAIVE_TRACE_MAX_DIM}"
         )
     reduced = _naive_partial_trace_core(rho.entries, rho.shape.dims, keep.parties)
-    sub = rho.shape.subshape(keep) if not keep.is_empty else SpaceShape(())
-    return Operator(sub, reduced)
+    return Operator(rho.shape.subshape(keep), reduced)
 
 
 def naive_expectation(state_pair: Operator, pattern: SubsetMask) -> float:

@@ -16,6 +16,7 @@ from conftest import (
     all_patterns,
     apply_local_unitary,
     expectation_mixed,
+    marginal_set,
     naive_expectation,
     naive_partial_trace,
     permute_parties,
@@ -23,7 +24,6 @@ from conftest import (
     random_unitary,
 )
 from qcert import (
-    MarginalSet,
     Operator,
     SpaceShape,
     SubsetMask,
@@ -86,7 +86,7 @@ def test_criterion_02_w_state_equality():
     for n in (4, 6):
         w = w_state(n)
         worst_route = max(worst_route, max(abs(v) for v in three_routes(w)))
-        rep = theorem1_check(MarginalSet.from_global(w.density()))
+        rep = theorem1_check(marginal_set(w.density()))
         worst_slack = max(worst_slack, abs(rep.slack))
     ok = worst_route <= 1e-9 and worst_slack <= 1e-9
     report(2, "W-state equality", ok, f" (max |E|={worst_route:.2e}, max |slack|={worst_slack:.2e})")
@@ -154,7 +154,7 @@ def test_criterion_08_odd_party_identity():
     worst = 0.0
     for i in range(200):
         psi = random_pure(SpaceShape(profiles[i % 4]), 7000 + i)
-        rep = theorem1_check(MarginalSet.from_global(psi.density()))
+        rep = theorem1_check(marginal_set(psi.density()))
         worst = max(worst, abs(rep.lhs - 1.0))
     ok = worst <= 1e-10
     report(8, "odd-N alternating sum equals 1 on 200 states", ok, f" (max |lhs-1|={worst:.2e})")

@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import error_message, run_cli, traced_peak
+from conftest import error_message, marginal_set, run_cli, traced_peak
 from test_stdout_digests import STATES as DIGEST_STATES
 from qcert import (
-    MarginalSet,
     Operator,
     SpaceShape,
     entanglement_E_subset_sum,
@@ -553,7 +552,7 @@ class TestUnknownKeys:
 
     def test_marginal_file_top_level(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries))
         doc = json.loads(dumps(doc))
         doc["global_purty"] = 0.1
         path = write_json(tmp_path, "m.json", json.dumps(doc))
@@ -565,7 +564,7 @@ class TestUnknownKeys:
 
     def test_marginal_entry(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries))
         doc = json.loads(dumps(doc))
         doc["marginals"][1]["purity"] = 0.5
         doc["marginals"][1]["label"] = "B"
@@ -598,7 +597,7 @@ class TestDuplicateKeys:
 
     def test_marginal_file_global_purity(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries), 0.25)
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries), 0.25)
         text = object_text([*pair_texts(json.loads(dumps(doc))), ("global_purity", "1.0")])
         path = write_json(tmp_path, "m.json", text)
         message = error_message(*run_cli(capsys, "compat", "--marginals", path))
@@ -607,7 +606,7 @@ class TestDuplicateKeys:
     def test_marginal_entry_matrix(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
         doc = json.loads(dumps(marginal_file_dict(
-            rho.shape, dict(MarginalSet.from_global(rho).entries))))
+            rho.shape, dict(marginal_set(rho).entries))))
         entries = [json.dumps(entry) for entry in doc["marginals"]]
         pure = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
         entry = [*pair_texts(doc["marginals"][1]), ("matrix", json.dumps(pure))]
@@ -621,7 +620,7 @@ class TestDuplicateKeys:
         eq8 = json.loads(dumps(cli.eq8_marginal_file()))
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 5)
         real = json.loads(dumps(marginal_file_dict(
-            rho.shape, dict(MarginalSet.from_global(rho).entries))))
+            rho.shape, dict(marginal_set(rho).entries))))
         assert run_cli(capsys, "compat", "--marginals",
                        write_json(tmp_path, "eq8.json", json.dumps(eq8)))[0] == 3
         assert run_cli(capsys, "compat", "--marginals",
@@ -678,7 +677,7 @@ class TestNonFiniteInput:
 
     def test_marginal_matrix_rejected(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries))
         path = write_json(tmp_path, "m.json", dumps(doc).replace("0.5", "NaN", 1))
         message = error_message(*run_cli(capsys, "compat", "--marginals", path))
         assert message == "marginal file entry 0: matrix holds a non-finite number"
@@ -721,7 +720,7 @@ class TestFileGlobalPurityAlwaysChecked:
 
     def doc(self, value):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries))
         doc = json.loads(dumps(doc))
         doc["global_purity"] = value
         return doc
@@ -784,7 +783,7 @@ class TestOperatorCapInFiles:
 
 class TestFullSetMarginal:
     def write(self, tmp_path, rho, full, global_purity=None):
-        entries = dict(MarginalSet.from_global(rho).entries)
+        entries = dict(marginal_set(rho).entries)
         entries[rho.shape.full_mask()] = full
         doc = marginal_file_dict(rho.shape, entries, global_purity)
         return write_json(tmp_path, "m.json", dumps(doc) + "\n")

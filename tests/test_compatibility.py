@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SETTINGS, mask, seeds, shapes
-from qcert import hilbert
+from conftest import SETTINGS, marginal_set, mask, seeds, shapes
+from qcert import compatibility, hilbert
 from qcert import (
     MarginalSet,
     Operator,
@@ -44,20 +44,20 @@ def eq8_set() -> MarginalSet:
 
 class TestTheorem1:
     def test_w4_saturates_with_zero_slack(self):
-        rep = theorem1_check(MarginalSet.from_global(w_state(4).density()))
+        rep = theorem1_check(marginal_set(w_state(4).density()))
         assert rep.verdict == "consistent"
         assert abs(rep.lhs - 1.0) < 1e-9
         assert abs(rep.slack) < 1e-9
 
     def test_product_state_saturates(self):
         psi = product_state([random_pure(SpaceShape((2,)), s) for s in range(4)])
-        rep = theorem1_check(MarginalSet.from_global(psi.density()))
+        rep = theorem1_check(marginal_set(psi.density()))
         assert abs(rep.lhs - 1.0) < 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_marginals_never_violate(self, seed):
         psi = random_pure(SpaceShape((2, 2, 2, 2)), seed)
-        rep = theorem1_check(MarginalSet.from_global(psi.density()))
+        rep = theorem1_check(marginal_set(psi.density()))
         assert rep.lhs <= 1.0 + 1e-9
         assert rep.verdict == "consistent"
 
@@ -66,13 +66,13 @@ class TestTheorem1:
         # Certificate side uses operator partial traces; the measure side
         # contracts the state directly. The two must mirror each other.
         psi = random_pure(SpaceShape(dims), 17)
-        rep = theorem1_check(MarginalSet.from_global(psi.density()))
+        rep = theorem1_check(marginal_set(psi.density()))
         assert abs(rep.lhs - (1.0 - entanglement_E_subset_sum(psi))) < 1e-9
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2, 2)])
     def test_odd_party_alternating_sum_is_exactly_one(self, dims):
         psi = random_pure(SpaceShape(dims), 23)
-        rep = theorem1_check(MarginalSet.from_global(psi.density()))
+        rep = theorem1_check(marginal_set(psi.density()))
         assert abs(rep.lhs - 1.0) < 1e-10
 
 
@@ -90,19 +90,19 @@ class TestTheorem2:
 
     def test_maximally_mixed_four_qubits(self):
         rho = Operator(SpaceShape((2, 2, 2, 2)), np.eye(16) / 16)
-        rep = theorem2_check(MarginalSet.from_global(rho), global_purity=1 / 16)
+        rep = theorem2_check(marginal_set(rho), global_purity=1 / 16)
         assert rep.verdict == "consistent"
         assert abs(rep.lhs - 0.9375) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_true_global_purity_never_violates(self, seed):
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 5 + seed, seed)
-        rep = theorem2_check(MarginalSet.from_global(rho), global_purity=purity(rho))
+        rep = theorem2_check(marginal_set(rho), global_purity=purity(rho))
         assert rep.slack >= -1e-9
 
     def test_best_case_only_loosens(self):
         rho = random_mixed(SpaceShape((2, 3, 2, 2)), 7, 4)
-        marginals = MarginalSet.from_global(rho)
+        marginals = marginal_set(rho)
         strict = theorem2_check(marginals, global_purity=purity(rho))
         loose = theorem2_check(marginals)
         assert loose.slack >= strict.slack - 1e-12
@@ -110,7 +110,7 @@ class TestTheorem2:
     def test_rejects_odd_party_count(self):
         rho = random_mixed(SpaceShape((2, 2, 2)), 4, 1)
         with pytest.raises(ValueError, match="even"):
-            theorem2_check(MarginalSet.from_global(rho))
+            theorem2_check(marginal_set(rho))
 
     def test_missing_subsets_are_inconclusive(self):
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 4, 2)
@@ -125,11 +125,11 @@ class TestTheorem2:
 class TestConsistencyPrecheck:
     def test_marginals_of_one_state_are_consistent(self):
         rho = random_mixed(SpaceShape((2, 2, 3)), 6, 3)
-        assert consistency_precheck(MarginalSet.from_global(rho)) == []
+        assert consistency_precheck(marginal_set(rho)) == []
 
     def test_detects_planted_mismatch(self):
         rho = w_state(3).density()
-        entries = dict(MarginalSet.from_global(rho).entries)
+        entries = dict(marginal_set(rho).entries)
         # The true single-party marginal is diag(2/3, 1/3), not I/2.
         entries[mask([0], 3)] = Operator(SpaceShape((2,)), np.eye(2) / 2)
         violations = consistency_precheck(MarginalSet(rho.shape, entries))
@@ -146,7 +146,7 @@ class TestConsistencyPrecheck:
             calls.append(keep)
             return _reduced_matrix(m, dims, parties, keep)
 
-        marginals = MarginalSet.from_global(random_mixed(SpaceShape((2, 2, 2, 2)), 3, 15))
+        marginals = marginal_set(random_mixed(SpaceShape((2, 2, 2, 2)), 3, 15))
         monkeypatch.setattr("qcert.compatibility._reduced_matrix", counted)
         assert consistency_precheck(marginals) == []
         assert len(calls) == 36
@@ -162,7 +162,7 @@ class TestConsistencyPrecheck:
             return out
 
         rho = random_mixed(SpaceShape((2, 2, 3, 2)), 5, 16)
-        marginals = MarginalSet.from_global(rho)
+        marginals = marginal_set(rho)
         monkeypatch.setattr("qcert.compatibility._reduced_matrix", recorded)
         assert consistency_precheck(marginals) == []
         assert len(seen) == 36
@@ -210,7 +210,7 @@ class TestSelfCheckFeed:
     @given(st.data(), shapes(even=True), seeds)
     def test_equals_the_marginal_set_route(self, data, shape, seed):
         rho = random_mixed(shape, data.draw(st.integers(1, shape.total_dim), label="rank"), seed)
-        assert self_check(rho) == theorem2_check(MarginalSet.from_global(rho), purity(rho))
+        assert self_check(rho) == theorem2_check(marginal_set(rho), purity(rho))
 
     def test_validates_the_state_once(self, monkeypatch):
         checked = []
@@ -224,7 +224,7 @@ class TestSelfCheckFeed:
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 4)
         self_check(rho)
         assert len(checked) == 1 and checked[0] is rho
-        MarginalSet.from_global(rho)  # the marginal-set route validates every proper marginal
+        marginal_set(rho)  # the marginal-set route validates every proper marginal
         assert len(checked) == 1 + 14
 
 
@@ -250,6 +250,11 @@ class TestPurityMapCore:
 
 
 class TestMarginalSetValidation:
+    def test_holds_claimed_matrices_only(self):
+        # The package builds no marginal set from a state; self_check reads its table.
+        assert not hasattr(MarginalSet, "from_global")
+        assert not hasattr(compatibility, "partial_trace")
+
     def test_rejects_non_density_entry(self):
         shape = SpaceShape((2, 2))
         bad = Operator(SpaceShape((2,)), [[0.9, 0.4], [0.4, 0.1]])
@@ -269,7 +274,7 @@ class TestMarginalSetValidation:
 
     def test_accepts_redundant_full_set_entry(self):
         rho = random_mixed(SpaceShape((2, 2)), 2, 7)
-        entries = dict(MarginalSet.from_global(rho).entries)
+        entries = dict(marginal_set(rho).entries)
         entries[mask([0, 1], 2)] = rho
         marginals = MarginalSet(rho.shape, entries)
         assert consistency_precheck(marginals) == []
@@ -279,7 +284,7 @@ class TestMarginalSetValidation:
 
 def with_full_marginal(rho, full=None) -> MarginalSet:
     """Every proper marginal of ``rho`` plus ``full`` (default rho) on all parties."""
-    entries = dict(MarginalSet.from_global(rho).entries)
+    entries = dict(marginal_set(rho).entries)
     entries[rho.shape.full_mask()] = rho if full is None else full
     return MarginalSet(rho.shape, entries)
 
@@ -288,11 +293,11 @@ class TestGlobalPurityInput:
     def test_purity_below_one_over_d_rejected(self):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
         with pytest.raises(ValueError, match=r"1/D"):
-            theorem2_check(MarginalSet.from_global(rho), 1e-9)
+            theorem2_check(marginal_set(rho), 1e-9)
 
     def test_purity_exactly_one_over_d_accepted(self):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        rep = theorem2_check(MarginalSet.from_global(rho), 1 / 4)
+        rep = theorem2_check(marginal_set(rho), 1 / 4)
         assert rep.verdict == "consistent"
         assert rep.assumed_global_purity == 0.25
         assert abs(rep.slack - 0.25) < 1e-12
@@ -322,14 +327,14 @@ class TestGlobalPurityInput:
         (10**400, "global purity must be a finite number"),
     ])
     def test_value_that_is_not_a_finite_real_number_rejected(self, value, message):
-        marginals = MarginalSet.from_global(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
+        marginals = marginal_set(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
         with pytest.raises(ValueError) as err:
             theorem2_check(marginals, value)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), 1, np.int64(1)])
     def test_numpy_and_integer_values_accepted(self, value):
-        marginals = MarginalSet.from_global(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
+        marginals = marginal_set(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
         rep = theorem2_check(marginals, value)
         assert rep.assumed_global_purity == float(value)
         assert type(rep.assumed_global_purity) is float

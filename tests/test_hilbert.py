@@ -10,9 +10,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    SETTINGS,
     apply_local_unitary,
     bell_state,
     kron,
@@ -21,6 +24,8 @@ from conftest import (
     naive_partial_trace,
     permute_parties,
     random_unitary,
+    seeds,
+    shapes,
     traced_peak,
 )
 from qcert import (
@@ -34,6 +39,7 @@ from qcert import (
     partial_trace,
     product_state,
     purity,
+    purity_table,
     random_mixed,
     random_pure,
     validate_density,
@@ -124,12 +130,19 @@ class TestPartialTrace:
         joint = kron(rho_a, rho_b)
         assert max_abs(partial_trace(joint, mask([0], 2)).entries, rho_a.entries) < 1e-14
 
-    def test_empty_keep_returns_scalar_trace(self):
-        rho = random_mixed(SpaceShape((2, 2)), 4, 0)
-        out = partial_trace(rho, SubsetMask(0, 2))
+    @SETTINGS
+    @given(st.data(), shapes(), seeds)
+    def test_empty_keep_returns_scalar_trace(self, data, shape, seed):
+        # The empty keep goes through the trace kernel, not a special case.
+        rho = random_mixed(shape, data.draw(st.integers(1, shape.total_dim), label="rank"), seed)
+        out = partial_trace(rho, SubsetMask(0, shape.n_parties))
+        trace = np.trace(rho.entries)
         assert out.entries.shape == (1, 1)
+        assert out.shape == SpaceShape(())
+        assert abs(out.entries[0, 0] - trace) <= 1e-14
         assert abs(out.entries[0, 0] - 1.0) < 1e-12
         assert abs(purity(out) - 1.0) < 1e-12
+        assert abs(purity_table(rho)[0] - abs(trace) ** 2) <= 1e-14
 
     def test_full_keep_is_identity(self):
         rho = random_mixed(SpaceShape((2, 3)), 5, 1)

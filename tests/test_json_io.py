@@ -16,9 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import error_message, run_cli
+from conftest import error_message, marginal_set, run_cli
 from qcert import (
-    MarginalSet,
     Operator,
     PureState,
     SpaceShape,
@@ -243,7 +242,7 @@ class TestDumpsMatchesReference:
 
     def test_marginal_file(self):
         rho = random_mixed(SpaceShape((2, 3, 2)), 3, 1)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries), 0.5)
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries), 0.5)
         ref = dict(doc, marginals=[dict(m, matrix=ref_pair_lists(m["matrix"]))
                                    for m in doc["marginals"]])
         assert dumps(doc) == ref_dumps(ref)
@@ -402,7 +401,7 @@ class TestHugeIntegers:
 
     def test_global_purity_is_not_finite(self):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries))
         doc = json.loads(dumps(doc))
         doc["global_purity"] = HUGE
         with pytest.raises(ValueError, match="'global_purity' must be a finite number"):
@@ -423,7 +422,7 @@ class TestHugeIntegers:
 
     def test_cli_global_purity_exits_2(self, tmp_path, capsys):
         rho = Operator(SpaceShape((2, 2)), np.eye(4) / 4)
-        doc = marginal_file_dict(rho.shape, dict(MarginalSet.from_global(rho).entries))
+        doc = marginal_file_dict(rho.shape, dict(marginal_set(rho).entries))
         doc = json.loads(dumps(doc))
         doc["global_purity"] = HUGE
         path = write_doc(tmp_path, doc)

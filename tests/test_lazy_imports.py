@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 import qcert
-from qcert import MarginalSet, SpaceShape, measures, random_pure
+from conftest import marginal_set
+from qcert import SpaceShape, measures, random_pure
 from qcert.cli import dumps, marginal_file_dict, state_file_dict
 
 SRC = Path(qcert.__file__).resolve().parents[1]
@@ -134,7 +135,7 @@ def inputs(tmp_path_factory):
     state = root / "psi.json"
     state.write_text(dumps(state_file_dict(psi)) + "\n")
     marginals = root / "marginals.json"
-    entries = dict(MarginalSet.from_global(psi.density()).entries)
+    entries = dict(marginal_set(psi.density()).entries)
     marginals.write_text(dumps(marginal_file_dict(psi.shape, entries)) + "\n")
     return {"state": str(state), "marginals": str(marginals)}
 

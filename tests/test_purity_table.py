@@ -10,6 +10,10 @@ bit, since they keep the accumulation order. The package's partition
 route is reached through ``measure_all``, which has no per-route wrapper.
 The partition reference walks its own enumerator of the bipartitions, so it
 shares no code with the package.
+
+The last tests check, within 1e-12, that E and the disorder, certificate and
+monogamy slacks are Walsh coefficients of the table, each summed by an
+explicit loop over submasks rather than by a butterfly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from conftest import (
     apply_local_unitary,
     assert_same_float,
     mapped_mask,
+    marginal_set,
     naive_partial_trace,
     permute_parties,
     random_unitary,
@@ -54,6 +59,7 @@ from qcert import (
     random_mixed,
     random_pure,
     required_subsets,
+    self_check,
     theorem2_check,
 )
 from qcert.compatibility import _certificate
@@ -380,7 +386,7 @@ class TestBitEqualToOldLoops:
     @given(st.data(), shapes(min_parties=2, max_dim=48), st.integers(1, 6), seeds)
     def test_certificate(self, data, shape, rank, seed):
         rho = random_mixed(shape, min(rank, shape.total_dim), seed)
-        entries = dict(MarginalSet.from_global(rho).entries)
+        entries = dict(marginal_set(rho).entries)
         if data.draw(st.booleans(), label="full-set marginal"):
             entries[shape.full_mask()] = rho
         masks = sorted(entries, key=lambda m: m.bits)
@@ -415,3 +421,30 @@ class TestAgainstOracle:
         e = rep.values["oracle"]
         assert abs(rep.values["partitions"] - e) <= 1e-10
         assert abs(rep.values["subset_sum"] - e) <= 1e-10
+
+
+# --- Walsh coefficients of the table -------------------------------------------
+
+def walsh(table: list[float], s_bits: int, t_bits: int) -> float:
+    """W_S[T] = sum over A inside S of (-1)^|A & T| P[A], with P[empty] read as 1."""
+    p = [1.0, *table[1:]]
+    return sum(-p[a] if (a & t_bits).bit_count() & 1 else p[a]
+               for a in range(len(p)) if not a & ~s_bits)
+
+
+class TestWalshIdentities:
+    @SETTINGS
+    @given(st.data(), shapes(even=True), seeds)
+    def test_checks_read_walsh_coefficients(self, data, shape, seed):
+        full = (1 << shape.n_parties) - 1
+        rho = random_mixed(shape, data.draw(st.integers(1, shape.total_dim), label="rank"), seed)
+        w_full = walsh(purity_table(rho), full, full)
+        assert abs(disorder_check(rho).slack - w_full) <= 1e-12
+        assert abs(self_check(rho).slack - w_full) <= 1e-12
+        psi = random_pure(shape, seed)
+        table = purity_table(psi)
+        e = measure_all(psi, "subset-sum").values["subset_sum"]
+        assert abs(e - walsh(table, full, full)) <= 1e-12
+        for rep in corollary1_scan(psi):
+            s_bits = rep.index_set.bits
+            assert abs(rep.slack - 2.0 * walsh(table, s_bits, s_bits)) <= 1e-12

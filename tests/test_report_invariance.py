@@ -16,13 +16,13 @@ from conftest import (
     SETTINGS,
     apply_local_unitary,
     mapped_mask,
+    marginal_set,
     permute_parties,
     random_unitary,
     seeds,
     shapes,
 )
 from qcert import (
-    MarginalSet,
     SubsetMask,
     corollary1_scan,
     disorder_check,
@@ -41,8 +41,8 @@ def test_mixed_certificate_and_disorder_under_relabelling(data, shape, seed):
     perm = data.draw(st.permutations(range(shape.n_parties)))
     rho = random_mixed(shape, min(3, shape.total_dim), seed)
     moved = permute_parties(rho, perm)
-    cert = theorem2_check(MarginalSet.from_global(rho))
-    cert_moved = theorem2_check(MarginalSet.from_global(moved))
+    cert = theorem2_check(marginal_set(rho))
+    cert_moved = theorem2_check(marginal_set(moved))
     assert abs(cert_moved.lhs - cert.lhs) <= TOL
     assert abs(cert_moved.slack - cert.slack) <= TOL
     dis, dis_moved = disorder_check(rho), disorder_check(moved)
@@ -56,8 +56,8 @@ def test_pure_certificate_under_local_unitary(data, shape, seed):
     party = data.draw(st.integers(0, shape.n_parties - 1))
     psi = random_pure(shape, seed)
     rotated = apply_local_unitary(psi, party, random_unitary(shape.dims[party], seed))
-    lhs = theorem1_check(MarginalSet.from_global(psi.density())).lhs
-    assert abs(theorem1_check(MarginalSet.from_global(rotated.density())).lhs - lhs) <= TOL
+    lhs = theorem1_check(marginal_set(psi.density())).lhs
+    assert abs(theorem1_check(marginal_set(rotated.density())).lhs - lhs) <= TOL
 
 
 @SETTINGS

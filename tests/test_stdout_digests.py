@@ -16,8 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import marginal_set
 from qcert import (
-    MarginalSet,
     Operator,
     SpaceShape,
     SubsetMask,
@@ -136,12 +136,12 @@ def paths(tmp_path_factory) -> dict[str, str]:
     root = tmp_path_factory.mktemp("digests")
     docs = {name: state_file_dict(state) for name, state in STATES.items()}
     rho = COMPAT_STATE
-    entries = dict(MarginalSet.from_global(rho).entries)
+    entries = dict(marginal_set(rho).entries)
     docs["full"] = marginal_file_dict(rho.shape, entries, purity(rho))
     del entries[SubsetMask.from_parties((0, 2), 4)]
     docs["missing"] = marginal_file_dict(rho.shape, entries)
     docs["global_purity_string"] = {**docs["full"], "global_purity": "0.5"}
-    mismatched = dict(MarginalSet.from_global(rho).entries)
+    mismatched = dict(marginal_set(rho).entries)
     for party in (0, 2):
         mismatched[SubsetMask.from_parties((party,), 4)] = Operator(
             SpaceShape((2,)), np.eye(2) / 2)
