@@ -229,15 +229,16 @@ def expectation_mixed(rho: Operator, pattern: SubsetMask) -> float:
     m = rho.entries
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     dims = rho.shape.dims
+    bufs = np.empty((2,) + dims + dims, vecs.dtype)
     total = 0.0
     for k in range(len(vals)):
         for l in range(len(vals)):
             weight = vals[k] * vals[l]
             if weight == 0.0:
                 continue
-            # The kernel overwrites its input, so phi is built again for the vdot.
-            work = _apply_pair_projectors(_doubled_tensor(vecs[:, k], vecs[:, l], dims), pattern)
-            phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims)
+            tensor = _doubled_tensor(vecs[:, k], vecs[:, l], dims, out=bufs[0])
+            work, free = _apply_pair_projectors(tensor, bufs[1], pattern)
+            phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims, out=free)
             total += weight * float(np.vdot(phi, work).real)
     return total * 0.5 ** len(dims)
 

@@ -2,6 +2,11 @@
 
 ``TestPairProjectors`` and ``TestObservable`` check that the conftest builder
 is the projector the paper defines, since it is the audit's reference.
+
+``frozen_apply_pair_projectors`` is the pair-projector kernel as it was before
+it ran only on the live region: one full pass over the doubled tensor per
+party. ``TestKernelBits`` pins the kernel's whole output tensor to it, values
+and signs of zero, on both sides of the size rule and with the rule forced.
 """
 
 from __future__ import annotations
@@ -25,15 +30,63 @@ from conftest import (
 )
 from qcert import (
     Operator,
+    PureState,
     SpaceShape,
     SubsetMask,
     expectation_pure,
+    ghz_state,
+    normal_stream,
     partial_trace,
     product_state,
     purity,
     random_mixed,
     random_pure,
+    w_state,
 )
+from qcert import observables
+from qcert.observables import _apply_pair_projectors, _doubled_tensor
+
+
+def frozen_apply_pair_projectors(tensor: np.ndarray, pattern: SubsetMask) -> np.ndarray:
+    """The kernel before the live region: every step a full pass; ``tensor`` is overwritten."""
+    n = pattern.n_parties
+    work, spare = tensor, np.empty_like(tensor)
+    for i in range(n):
+        op = np.subtract if pattern.contains(i) else np.add
+        op(work, np.swapaxes(work, i, n + i), out=spare)
+        work, spare = spare, work
+    return work
+
+
+def assert_same_entries(got: np.ndarray, ref: np.ndarray) -> None:
+    """Equal shape and values, and the same sign bit on every real and imaginary part."""
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
+def amplitude_pair(dims, seed: int, symmetric: bool):
+    """Two complex vectors of length prod(dims), equal when ``symmetric``."""
+    d = math.prod(dims)
+    z = normal_stream(seed, 4 * d)
+    left = z[0 : 2 * d : 2] + 1j * z[1 : 2 * d : 2]
+    right = left if symmetric else z[2 * d :: 2] + 1j * z[2 * d + 1 :: 2]
+    return left, right
+
+
+def kernel_output(left, right, dims, pattern) -> np.ndarray:
+    tensor = _doubled_tensor(left, right, dims)
+    spare = np.full_like(tensor, np.nan)  # a stale entry that reaches the result shows
+    work, free = _apply_pair_projectors(tensor, spare, pattern)
+    assert {id(work), id(free)} == {id(tensor), id(spare)}
+    return work
+
+
+def assert_kernel_matches_frozen(left, right, dims) -> None:
+    for pattern in all_patterns(len(dims)):
+        ref = frozen_apply_pair_projectors(_doubled_tensor(left, right, dims), pattern)
+        assert_same_entries(kernel_output(left, right, dims, pattern), ref)
 
 
 def doubled_pure(psi) -> Operator:
@@ -140,6 +193,60 @@ class TestExpectationPure:
     def test_pattern_length_checked(self):
         with pytest.raises(ValueError):
             expectation_pure(bell_state(), SubsetMask(1, 1))
+
+
+# D^2 runs from 4 to 9216: (2,3,2,3) and below stay under the size rule, the rest shrink.
+KERNEL_SHAPES = [
+    (2,), (3,), (2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3),
+    (2,) * 6, (2, 2, 3, 2, 2), (3, 2, 2, 2, 2, 2), (2, 2, 2, 3, 2, 2),
+]
+
+
+def zero_holding_states():
+    """GHZ, W and a product state: doubled tensors with many exact zeros."""
+    return {
+        "ghz": ghz_state(6),
+        "w": w_state(6),
+        "product": product_state([
+            PureState(SpaceShape((2,)), np.array([1.0, 0.0])),
+            PureState(SpaceShape((3,)), np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)),
+            random_pure(SpaceShape((2,)), 4),
+            PureState(SpaceShape((2,)), np.array([0.0, 1.0])),
+            random_pure(SpaceShape((2, 2)), 5),
+        ]),
+    }
+
+
+class TestKernelBits:
+    """The kernel's output tensor against the frozen full-pass kernel, ``==`` and signs."""
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["k=l", "k!=l"])
+    @pytest.mark.parametrize("dims", KERNEL_SHAPES, ids=lambda d: "x".join(map(str, d)))
+    def test_every_pattern(self, dims, symmetric):
+        assert_kernel_matches_frozen(*amplitude_pair(dims, 41, symmetric), dims)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["k=l", "k!=l"])
+    @pytest.mark.parametrize("dims", KERNEL_SHAPES[:7], ids=lambda d: "x".join(map(str, d)))
+    def test_every_pattern_with_the_rule_forced(self, dims, symmetric, monkeypatch):
+        monkeypatch.setattr(observables, "SHRINK_MIN_ENTRIES", 1)
+        assert_kernel_matches_frozen(*amplitude_pair(dims, 43, symmetric), dims)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["rule", "forced"])
+    @pytest.mark.parametrize("name", ["ghz", "w", "product"])
+    def test_exact_zeros(self, name, forced, monkeypatch):
+        if forced:
+            monkeypatch.setattr(observables, "SHRINK_MIN_ENTRIES", 1)
+        psi = zero_holding_states()[name]
+        amp = psi.amplitudes
+        assert_kernel_matches_frozen(amp, amp, psi.shape.dims)
+
+    @pytest.mark.parametrize("bits", [0b111111111, 0b101101011, 0b000000001, 0b100000000])
+    def test_nine_qubits(self, bits):
+        dims = (2,) * 9
+        left, right = amplitude_pair(dims, 47, False)
+        pattern = SubsetMask(bits, 9)
+        ref = frozen_apply_pair_projectors(_doubled_tensor(left, right, dims), pattern)
+        assert_same_entries(kernel_output(left, right, dims, pattern), ref)
 
 
 class TestKernelMemory:

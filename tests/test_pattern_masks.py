@@ -140,7 +140,12 @@ class TestBitEqualAtBenchmarkSizes:
         z = normal_stream(length, 6 * length)
         vecs = (z[0::2] + 1j * z[1::2]).reshape(length, 3)
         u, v, w = (vecs[:, k] for k in range(3))  # strided column views
+        out = np.full((length, length), np.nan + 0j)
         for a, b in [(u, v), (w, w), (u.copy(), v.copy()), (v.copy(), w)]:
             doubled = _doubled_tensor(a, b, (length,))
             assert doubled.shape == (length, length)
             assert doubled.ravel().tobytes() == np.kron(a, b).tobytes()
+            into = _doubled_tensor(a, b, (length,), out=out)
+            assert into.shape == (length, length)
+            assert np.shares_memory(into, out)
+            assert out.tobytes() == np.kron(a, b).tobytes()
