@@ -11,9 +11,8 @@ TOL_ROUTE.
 
 Every subset quantity reads one complete purity table per state; only a
 single monogamy check, ``corollary1_check``, evaluates just its submasks.
-For a pure state each cut is computed once, from its smaller side, so the
-table costs one contraction per unbalanced pair {A, rest} and one per
-balanced cut.
+For a pure state the table costs one contraction per unbalanced pair
+{A, rest}, from its smaller side, and one per side of each balanced cut.
 """
 
 from __future__ import annotations
@@ -64,10 +63,12 @@ def purity_table(state: PureState | Operator) -> list[float]:
     Entry 0 is the squared trace of the whole state and the last entry its
     global purity. An operator is taken as given, not checked as a density
     matrix, and goes through ``partial_trace``. A pure state calls
-    ``marginal_purity`` once per cut, on the masks with 2|A| <= N in ascending
-    order; every other entry copies its complement's value, which
-    ``marginal_purity`` computes from the same smaller side, so the copy is
-    bit-identical. Every subset quantity but ``corollary1_check`` reads it.
+    ``marginal_purity`` on the masks with 2|A| <= N in ascending order: the
+    smaller side of each unbalanced cut and both sides of each balanced cut,
+    whose two values can differ in the last bits. The larger side of an
+    unbalanced cut copies its complement's value, which ``marginal_purity``
+    computes from the same smaller side, so the copy is bit-identical. Every
+    subset quantity but ``corollary1_check`` reads it.
     """
     n = state.shape.n_parties
     if not isinstance(state, PureState):

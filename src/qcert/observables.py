@@ -15,9 +15,7 @@ every later step keeps those entries at +0.0, since +0.0 + +0.0 and
 live region, the entries where that qubit differs between the copies, and
 writes +0.0 on the entries it drops: each such step halves the region. Every
 entry in the region gets the same ufunc operation as in a full pass, so the
-output is the same to the bit. Shrinking the region has a fixed cost and
-makes the later steps strided, so it stops once the region is small
-(``SHRINK_MIN_ENTRIES``).
+output is the same to the bit.
 
 A sign pattern is the ``SubsetMask`` of the parties that carry the
 antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
@@ -29,15 +27,6 @@ import numpy as np
 
 from .config import VECTOR_DIM_CAP
 from .hilbert import PureState, SpaceShape, SubsetMask, _check_mask
-
-# The live region shrinks only while it holds at least this many entries. A
-# shrink builds three strided views, a few microseconds, and the steps after
-# it run on a strided region, which costs more per entry than a contiguous
-# pass. Full-pattern calls on a 2-vCPU Xeon (numpy 2.4): with this bound, 7, 8
-# and 10 qubits took 0.33, 1.35 and 13.7 ms against 0.44, 2.34 and 38 ms
-# without shrinking; a bound of 2^10 also shrinks 5 qubits and dims (2,3,2,3),
-# 0.040 against 0.033 ms for either.
-SHRINK_MIN_ENTRIES = 1 << 11
 
 
 def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims, out=None) -> np.ndarray:
@@ -64,15 +53,14 @@ def _apply_pair_projectors(
 
     Each step runs on the live region, one strided view of each buffer with
     the same shape, strides and byte offset. An antisymmetric step on a qubit
-    party over a region of ``SHRINK_MIN_ENTRIES`` or more first shrinks it:
-    the party's axis pair becomes its anti-diagonal (0,1), (1,0), one axis of
-    stride s_x - s_y, so the party's copy-2 axis leaves the view and the
-    swapped operand is that axis reversed. On the diagonal it drops, a full
-    pass writes x - x = +0.0; the buffer that ends as the result gets that
-    +0.0 written there instead, and no later step touches it. So the result
-    holds the bits of a full pass; the other buffer's contents are not part
-    of it. Qudit parties and symmetric steps keep their full step on the
-    region.
+    party first shrinks it, at any size: the party's axis pair becomes its
+    anti-diagonal (0,1), (1,0), one axis of stride s_x - s_y, so the party's
+    copy-2 axis leaves the view and the swapped operand is that axis
+    reversed. On the diagonal it drops, a full pass writes x - x = +0.0; the
+    buffer that ends as the result gets that +0.0 written there instead, and
+    no later step touches it. So the result holds the bits of a full pass;
+    the other buffer's contents are not part of it. Qudit parties and
+    symmetric steps keep their full step on the region.
     """
     n = pattern.n_parties
     dims = tensor.shape[:n]
@@ -83,7 +71,7 @@ def _apply_pair_projectors(
         j = n + i - shrunk  # party i's copy-2 axis in the live views
         minus = pattern.contains(i)
         op = np.subtract if minus else np.add
-        if minus and dims[i] == 2 and live_src.size >= SHRINK_MIN_ENTRIES:
+        if minus and dims[i] == 2:
             shape = live_src.shape[:j] + live_src.shape[j + 1 :]
             strides = list(live_src.strides)
             s_y = strides.pop(j)

@@ -28,11 +28,16 @@ route ``qcert measure --route oracle`` runs, and ``naive_expectation`` traces
 against ``observable``; neither calls the reshaping partial trace or the
 two-copy contraction kernel they are compared with.
 
+``full_pass_pair_projectors`` applies (I +- SWAP) for every party of a
+doubled tensor, one full pass per party: the reference the package's
+live-region kernel is pinned to, bit for bit. ``pure_pair`` builds the
+projector onto psi x psi for ``naive_expectation``.
+
 ``expectation_mixed``, ``purity_via_observables`` and ``all_patterns`` are the
 mixed two-copy route, which no ``qcert`` command runs: Tr(A_T rho x rho) as a
-weighted sum over eigenpairs of rho, each pair through the package's private
-contraction kernel. It reads no partial trace and no purity table, so it
-audits those, not the projector route whose kernel it shares.
+weighted sum over eigenpairs of rho, each pair through
+``full_pass_pair_projectors``. It imports nothing from ``qcert.observables``
+and reads no partial trace and no purity table, so it audits all three.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from qcert import (
 from qcert.cli import main
 from qcert.config import VECTOR_DIM_CAP
 from qcert.hilbert import _check_mask
-from qcert.observables import _apply_pair_projectors, _doubled_fits, _doubled_tensor
 from qcert.oracle import _naive_partial_trace_core
 
 NAIVE_TRACE_MAX_DIM = 64
@@ -213,32 +217,57 @@ def all_patterns(n: int) -> list[SubsetMask]:
     return [SubsetMask(bits, n) for bits in range(1 << n)]
 
 
+def full_pass_pair_projectors(
+    tensor: np.ndarray, spare: np.ndarray, pattern: SubsetMask
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I +- SWAP) for every party, each step a full pass; return (result, other buffer).
+
+    ``tensor`` holds a doubled tensor and ``spare`` a buffer of its shape and
+    dtype; each step writes work -+ swapped into the other one, so both are
+    overwritten. The result is 2^N times the pair projectors applied.
+    """
+    n = pattern.n_parties
+    src, dst = tensor, spare
+    for i in range(n):
+        op = np.subtract if pattern.contains(i) else np.add
+        op(src, np.swapaxes(src, i, n + i), out=dst)
+        src, dst = dst, src
+    return src, dst
+
+
+def pure_pair(psi: PureState) -> Operator:
+    """The projector onto psi x psi, on the doubled space (copy-major)."""
+    amp2 = np.kron(psi.amplitudes, psi.amplitudes)
+    return Operator(SpaceShape(psi.shape.dims + psi.shape.dims), np.outer(amp2, amp2.conj()))
+
+
 def expectation_mixed(rho: Operator, pattern: SubsetMask) -> float:
     """Tr(A_pattern rho x rho) via the eigendecomposition of rho.
 
     Reduces to pure-pair contractions sum_kl lam_k lam_l <k,l|A|k,l>, avoiding
     any D^2 x D^2 matrix. Every one of the D^2 eigenpairs with a nonzero
-    weight runs, tiny eigenvalues included.
+    weight runs, tiny eigenvalues included, through ``full_pass_pair_projectors``.
     """
     _check_mask(rho.shape, pattern)
-    if not _doubled_fits(rho.shape):
-        d = rho.shape.total_dim
+    d = rho.shape.total_dim
+    if d * d > VECTOR_DIM_CAP:
         raise ValueError(
             f"doubled vector of length {d * d} exceeds the state cap {VECTOR_DIM_CAP}"
         )
     m = rho.entries
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     dims = rho.shape.dims
-    bufs = np.empty((2,) + dims + dims, vecs.dtype)
+    bufs = np.empty((2, d, d), vecs.dtype)
+    doubled = bufs.reshape((2,) + dims + dims)
     total = 0.0
-    for k in range(len(vals)):
-        for l in range(len(vals)):
+    for k in range(d):
+        for l in range(d):
             weight = vals[k] * vals[l]
             if weight == 0.0:
                 continue
-            tensor = _doubled_tensor(vecs[:, k], vecs[:, l], dims, out=bufs[0])
-            work, free = _apply_pair_projectors(tensor, bufs[1], pattern)
-            phi = _doubled_tensor(vecs[:, k], vecs[:, l], dims, out=free)
+            np.outer(vecs[:, k], vecs[:, l], out=bufs[0])
+            work, free = full_pass_pair_projectors(doubled[0], doubled[1], pattern)
+            phi = np.outer(vecs[:, k], vecs[:, l], out=free.reshape(d, d))
             total += weight * float(np.vdot(phi, work).real)
     return total * 0.5 ** len(dims)
 

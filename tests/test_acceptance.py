@@ -16,15 +16,16 @@ from conftest import (
     all_patterns,
     apply_local_unitary,
     expectation_mixed,
+    kron,
     marginal_set,
     naive_expectation,
     naive_partial_trace,
     permute_parties,
+    pure_pair,
     purity_via_observables,
     random_unitary,
 )
 from qcert import (
-    Operator,
     SpaceShape,
     SubsetMask,
     corollary1_check,
@@ -213,14 +214,13 @@ def test_criterion_11_oracle_equivalence():
     # Two-copy expectations against materialized observables.
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         psi = random_pure(SpaceShape(dims), 11000 + len(dims))
-        amp2 = np.kron(psi.amplitudes, psi.amplitudes)
-        pair = Operator(SpaceShape(dims + dims), np.outer(amp2, amp2.conj()))
+        pair = pure_pair(psi)
         for pattern in all_patterns(len(dims)):
             worst = max(worst, abs(expectation_pure(psi, pattern) - naive_expectation(pair, pattern)))
     for dims in [(2, 2), (2, 3)]:
         shape = SpaceShape(dims)
         rho = random_mixed(shape, shape.total_dim, 12000)
-        pair = Operator(SpaceShape(dims + dims), np.kron(rho.entries, rho.entries))
+        pair = kron(rho, rho)
         for pattern in all_patterns(2):
             worst = max(worst, abs(expectation_mixed(rho, pattern) - naive_expectation(pair, pattern)))
     # Measure routes against exhaustive partition enumeration.

@@ -92,6 +92,22 @@ def test_oracle_imports_nothing_from_the_routes_it_audits(route):
     assert not parts & (routes - {route}), names
 
 
+def test_conftest_imports_nothing_from_the_kernel_it_audits():
+    # The mixed audit route runs its own full passes; a name taken from
+    # ``qcert`` counts by its home module, since ``qcert`` only forwards it.
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    homes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            homes.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                homes.add(f"{node.module}.{alias.name}")
+                if node.module == "qcert":
+                    homes.add(getattr(getattr(qcert, alias.name, None), "__module__", ""))
+    assert not {h for h in homes if h.startswith("qcert.observables")}, homes
+
+
 def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):
     def stand_in(psi, subset):
         return 0.5

@@ -3,10 +3,10 @@
 ``TestPairProjectors`` and ``TestObservable`` check that the conftest builder
 is the projector the paper defines, since it is the audit's reference.
 
-``frozen_apply_pair_projectors`` is the pair-projector kernel as it was before
-it ran only on the live region: one full pass over the doubled tensor per
-party. ``TestKernelBits`` pins the kernel's whole output tensor to it, values
-and signs of zero, on both sides of the size rule and with the rule forced.
+``TestKernelBits`` pins the pair-projector kernel's whole output tensor,
+values and signs of zero, to ``conftest.full_pass_pair_projectors``, which
+makes one full pass over the doubled tensor per party. Fixed shapes,
+exact-zero states and a property over random shapes cover every sign pattern.
 """
 
 from __future__ import annotations
@@ -16,16 +16,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
 from numpy.testing import assert_allclose
 
 from conftest import (
+    SETTINGS,
     all_patterns,
     bell_state,
     expectation_mixed,
+    full_pass_pair_projectors,
+    kron,
     naive_expectation,
     observable,
     pair_projector,
+    pure_pair,
     purity_via_observables,
+    seeds,
+    shapes,
     swap_subset_expectation,
 )
 from qcert import (
@@ -43,19 +50,7 @@ from qcert import (
     random_pure,
     w_state,
 )
-from qcert import observables
 from qcert.observables import _apply_pair_projectors, _doubled_tensor
-
-
-def frozen_apply_pair_projectors(tensor: np.ndarray, pattern: SubsetMask) -> np.ndarray:
-    """The kernel before the live region: every step a full pass; ``tensor`` is overwritten."""
-    n = pattern.n_parties
-    work, spare = tensor, np.empty_like(tensor)
-    for i in range(n):
-        op = np.subtract if pattern.contains(i) else np.add
-        op(work, np.swapaxes(work, i, n + i), out=spare)
-        work, spare = spare, work
-    return work
 
 
 def assert_same_entries(got: np.ndarray, ref: np.ndarray) -> None:
@@ -83,23 +78,15 @@ def kernel_output(left, right, dims, pattern) -> np.ndarray:
     return work
 
 
-def assert_kernel_matches_frozen(left, right, dims) -> None:
+def full_pass_output(left, right, dims, pattern) -> np.ndarray:
+    tensor = _doubled_tensor(left, right, dims)
+    return full_pass_pair_projectors(tensor, np.empty_like(tensor), pattern)[0]
+
+
+def assert_kernel_matches_full_pass(left, right, dims) -> None:
     for pattern in all_patterns(len(dims)):
-        ref = frozen_apply_pair_projectors(_doubled_tensor(left, right, dims), pattern)
+        ref = full_pass_output(left, right, dims, pattern)
         assert_same_entries(kernel_output(left, right, dims, pattern), ref)
-
-
-def doubled_pure(psi) -> Operator:
-    amp2 = np.kron(psi.amplitudes, psi.amplitudes)
-    return Operator(
-        SpaceShape(psi.shape.dims + psi.shape.dims), np.outer(amp2, amp2.conj())
-    )
-
-
-def doubled_mixed(rho) -> Operator:
-    return Operator(
-        SpaceShape(rho.shape.dims + rho.shape.dims), np.kron(rho.entries, rho.entries)
-    )
 
 
 class TestPairProjectors:
@@ -184,7 +171,7 @@ class TestExpectationPure:
     def test_agrees_with_materialized_oracle(self):
         for dims in [(2, 2), (2, 3), (2, 2, 2)]:
             psi = random_pure(SpaceShape(dims), 23)
-            pair = doubled_pure(psi)
+            pair = pure_pair(psi)
             for pattern in all_patterns(len(dims)):
                 fast = expectation_pure(psi, pattern)
                 slow = naive_expectation(pair, pattern)
@@ -195,7 +182,7 @@ class TestExpectationPure:
             expectation_pure(bell_state(), SubsetMask(1, 1))
 
 
-# D^2 runs from 4 to 9216: (2,3,2,3) and below stay under the size rule, the rest shrink.
+# D^2 runs from 4 to 9216.
 KERNEL_SHAPES = [
     (2,), (3,), (2, 2), (2, 3), (3, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3),
     (2,) * 6, (2, 2, 3, 2, 2), (3, 2, 2, 2, 2, 2), (2, 2, 2, 3, 2, 2),
@@ -218,34 +205,35 @@ def zero_holding_states():
 
 
 class TestKernelBits:
-    """The kernel's output tensor against the frozen full-pass kernel, ``==`` and signs."""
+    """The kernel's output tensor against the full-pass reference, ``==`` and signs."""
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["k=l", "k!=l"])
-    @pytest.mark.parametrize("dims", KERNEL_SHAPES, ids=lambda d: "x".join(map(str, d)))
-    def test_every_pattern(self, dims, symmetric):
-        assert_kernel_matches_frozen(*amplitude_pair(dims, 41, symmetric), dims)
+    @pytest.mark.parametrize(
+        "dims, seed",
+        [(dims, 41) for dims in KERNEL_SHAPES] + [(dims, 43) for dims in KERNEL_SHAPES[:7]],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}",
+    )
+    def test_every_pattern(self, dims, seed, symmetric):
+        assert_kernel_matches_full_pass(*amplitude_pair(dims, seed, symmetric), dims)
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["k=l", "k!=l"])
-    @pytest.mark.parametrize("dims", KERNEL_SHAPES[:7], ids=lambda d: "x".join(map(str, d)))
-    def test_every_pattern_with_the_rule_forced(self, dims, symmetric, monkeypatch):
-        monkeypatch.setattr(observables, "SHRINK_MIN_ENTRIES", 1)
-        assert_kernel_matches_frozen(*amplitude_pair(dims, 43, symmetric), dims)
+    @SETTINGS
+    @given(shape=shapes(), seed=seeds)
+    def test_every_pattern_on_random_shapes(self, shape, seed, symmetric):
+        assert_kernel_matches_full_pass(*amplitude_pair(shape.dims, seed, symmetric), shape.dims)
 
-    @pytest.mark.parametrize("forced", [False, True], ids=["rule", "forced"])
     @pytest.mark.parametrize("name", ["ghz", "w", "product"])
-    def test_exact_zeros(self, name, forced, monkeypatch):
-        if forced:
-            monkeypatch.setattr(observables, "SHRINK_MIN_ENTRIES", 1)
+    def test_exact_zeros(self, name):
         psi = zero_holding_states()[name]
         amp = psi.amplitudes
-        assert_kernel_matches_frozen(amp, amp, psi.shape.dims)
+        assert_kernel_matches_full_pass(amp, amp, psi.shape.dims)
 
     @pytest.mark.parametrize("bits", [0b111111111, 0b101101011, 0b000000001, 0b100000000])
     def test_nine_qubits(self, bits):
         dims = (2,) * 9
         left, right = amplitude_pair(dims, 47, False)
         pattern = SubsetMask(bits, 9)
-        ref = frozen_apply_pair_projectors(_doubled_tensor(left, right, dims), pattern)
+        ref = full_pass_output(left, right, dims, pattern)
         assert_same_entries(kernel_output(left, right, dims, pattern), ref)
 
 
@@ -280,7 +268,7 @@ class TestExpectationMixed:
 
     def test_agrees_with_materialized_oracle(self):
         rho = random_mixed(SpaceShape((2, 2)), 3, 9)
-        pair = doubled_mixed(rho)
+        pair = kron(rho, rho)
         for pattern in all_patterns(2):
             fast = expectation_mixed(rho, pattern)
             slow = naive_expectation(pair, pattern)

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import all_patterns, bell_state, max_abs, naive_expectation, naive_partial_trace
+from conftest import (
+    all_patterns,
+    bell_state,
+    kron,
+    max_abs,
+    naive_expectation,
+    naive_partial_trace,
+    pure_pair,
+)
 from qcert import (
-    Operator,
     SpaceShape,
     SubsetMask,
     exhaustive_E,
@@ -61,22 +68,18 @@ class TestNaivePartialTrace:
 
 class TestNaiveExpectation:
     def test_bell_all_minus(self):
-        psi = bell_state()
-        amp2 = np.kron(psi.amplitudes, psi.amplitudes)
-        pair = Operator(SpaceShape((2, 2, 2, 2)), np.outer(amp2, amp2.conj()))
+        pair = pure_pair(bell_state())
         assert abs(naive_expectation(pair, SubsetMask(3, 2)) - 0.25) < 1e-12
 
     def test_odd_patterns_vanish_on_pure_pairs(self):
-        psi = random_pure(SpaceShape((2, 3)), 4)
-        amp2 = np.kron(psi.amplitudes, psi.amplitudes)
-        pair = Operator(SpaceShape((2, 3, 2, 3)), np.outer(amp2, amp2.conj()))
+        pair = pure_pair(random_pure(SpaceShape((2, 3)), 4))
         for pattern in all_patterns(2):
             if pattern.is_odd:
                 assert abs(naive_expectation(pair, pattern)) < 1e-12
 
     def test_pattern_completeness(self):
         rho = random_mixed(SpaceShape((2, 2)), 3, 6)
-        pair = Operator(SpaceShape((2, 2, 2, 2)), np.kron(rho.entries, rho.entries))
+        pair = kron(rho, rho)
         total = sum(naive_expectation(pair, p) for p in all_patterns(2))
         assert abs(total - 1.0) < 1e-10
 

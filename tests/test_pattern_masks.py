@@ -6,8 +6,8 @@ a pattern was a tuple of '+'/'-' strings, one per party. The reference
 functions below are that code's expectation routes. The mask code keeps their
 arithmetic operation for operation, so the expectations must match bit for bit.
 The pins read the package's ``expectation_pure``, one kernel pass, and the
-mixed audit route ``expectation_mixed`` of ``conftest``, which runs the same
-kernel once per eigenpair.
+mixed audit route ``expectation_mixed`` of ``conftest``, which runs the
+full-pass reference ``full_pass_pair_projectors`` once per eigenpair.
 """
 
 from __future__ import annotations
