@@ -22,6 +22,7 @@ violation, 4 inconclusive, 141 stdout closed by the reader.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -567,6 +568,9 @@ def _run(argv) -> int:
 
 
 def main(argv=None) -> int:
+    # A command builds no reference cycles worth collecting (argparse's parser aside).
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = _run(argv)
         if sys.stdout is not None:  # None when the process started with stdout closed
@@ -576,6 +580,9 @@ def main(argv=None) -> int:
         # Send what is still buffered to the null device, so the exit flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -875,3 +876,54 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 141
         assert err == b""
+
+
+@pytest.fixture
+def collector():
+    """Restores the caller's collector state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    # One command per exit code that main returns; the 141 exit runs in the
+    # subprocess tests of TestClosedStdout.
+    @staticmethod
+    def argv(code, tmp_path):
+        if code == 0:
+            return ["sample", "--dims", "2,2", "--seed", "1"]
+        if code == 2:
+            return ["disorder", "--state", str(tmp_path / "missing.json")]
+        if code == 3:
+            return ["demo", "eq8"]
+        rho = random_mixed(SpaceShape((2, 2, 2, 2)), 5, 4)
+        subsets = [m for m in required_subsets(4) if m.parties != (0, 2)]
+        return ["compat", "--marginals", write_marginals(tmp_path, "m.json", rho, subsets)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_main_restores_the_callers_state(self, tmp_path, capsys, collector, enabled, code):
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli(capsys, *self.argv(code, tmp_path))[0] == code
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_while_a_large_file_is_read(self, tmp_path, capsys, collector):
+        # D = 64: the decode builds 4 096 [re, im] lists, past the
+        # allocation threshold of the youngest generation.
+        path = write_state(tmp_path, "mx.json", random_mixed(SpaceShape((2,) * 6), 4, 3))
+        starts = []
+
+        def probe(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()  # empties the youngest generation, so no collection is due on entry
+        gc.callbacks.append(probe)
+        try:
+            code, _ = run_cli(capsys, "disorder", "--state", path)
+        finally:
+            gc.callbacks.remove(probe)
+        assert code == 0
+        assert starts == []

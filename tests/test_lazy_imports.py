@@ -77,35 +77,40 @@ def test_removed_name_is_defined_by_no_module(name):
         assert not hasattr(module, name), f"qcert.{info.name}.{name}"
 
 
+def imported_names(path: Path) -> set[str]:
+    """Each module and ``module.name`` the file at ``path`` imports, read with ast.
+
+    A name taken from the package (``from qcert import name``, or ``from .
+    import name`` inside it) also counts by its home module, since ``qcert``
+    only forwards it.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            from_package = node.module == "qcert" if node.level == 0 else node.module is None
+            for alias in node.names:
+                names.add(f"{node.module or ''}.{alias.name}")
+                if from_package:
+                    names.add(getattr(getattr(qcert, alias.name, None), "__module__", ""))
+    return names
+
+
 @pytest.mark.parametrize("route", ["oracle", "observables"])
 def test_oracle_imports_nothing_from_the_routes_it_audits(route):
     # Read with ast, not imported: an audit route must share no code with the
     # fast path or with the other audit route.
-    names = set()
-    for node in ast.walk(ast.parse((SRC / "qcert" / f"{route}.py").read_text())):
-        if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")  # "" for "from . import name"
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update(alias.name for alias in node.names)
+    names = imported_names(SRC / "qcert" / f"{route}.py")
     parts = {part for name in names for part in name.split(".")}
     routes = {"measures", "monogamy", "compatibility", "oracle", "observables"}
     assert not parts & (routes - {route}), names
 
 
 def test_conftest_imports_nothing_from_the_kernel_it_audits():
-    # The mixed audit route runs its own full passes; a name taken from
-    # ``qcert`` counts by its home module, since ``qcert`` only forwards it.
-    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
-    homes = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            homes.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                homes.add(f"{node.module}.{alias.name}")
-                if node.module == "qcert":
-                    homes.add(getattr(getattr(qcert, alias.name, None), "__module__", ""))
-    assert not {h for h in homes if h.startswith("qcert.observables")}, homes
+    # The mixed audit route runs its own full passes.
+    names = imported_names(Path(__file__).parent / "conftest.py")
+    assert not {n for n in names if n.startswith("qcert.observables")}, names
 
 
 def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):
