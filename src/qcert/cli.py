@@ -15,21 +15,33 @@ numpy arrays, which only ``dumps`` writes; ``parse_state_dict`` and
 ``parse_marginal_dict`` take decoded JSON, so a built dict goes through
 ``json.loads(dumps(doc))`` before it is parsed.
 
-Exit codes: 0 success / inequality holds, 2 input error, 3 certificate of
-violation, 4 inconclusive, 141 stdout closed by the reader.
+Exit codes: 0 success / inequality holds, 2 input error or a failed write to
+stdout (say, a full disk), 3 certificate of violation, 4 inconclusive, 141
+stdout closed by the reader.
+
+``main(argv)`` runs one command and returns its exit code, for callers in the
+same process. The ``qcert`` command (the console script, or ``python -m
+qcert.cli``) runs ``run_and_exit``, which ends the process with ``os._exit``
+once the output is written; under ``-m`` the cyclic collector is off from this
+module's first import on.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    # The command process: no collections from numpy's import on (see run_and_exit).
+    gc.disable()
+
+import argparse
 import json
 import math
 import os
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -567,6 +579,11 @@ def _run(argv) -> int:
     return code
 
 
+def _silence_stdout() -> None:
+    """Point fd 1 at the null device, so that no later flush of stdout can fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     # A command builds no reference cycles worth collecting (argparse's parser aside).
     was_enabled = gc.isenabled()
@@ -577,13 +594,30 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # Send what is still buffered to the null device, so the exit flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence_stdout()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # only a write to stdout gets here, say on a full disk
+        _silence_stdout()
+        print(f"qcert: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     finally:
         if was_enabled:
             gc.enable()
 
 
+def run_and_exit() -> NoReturn:
+    """The ``qcert`` command: ``main()``, then end the process once its output is written.
+
+    ``os._exit`` skips the interpreter's teardown, which costs more than most
+    commands' own work. An exception that escapes ``main`` still exits through
+    the interpreter, with a traceback and exit 1.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with the descriptor closed
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_and_exit()

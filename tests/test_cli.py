@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import errno
 import gc
+import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -927,3 +931,107 @@ class TestCollectorPause:
             gc.callbacks.remove(probe)
         assert code == 0
         assert starts == []
+
+
+TWELVE_QUBITS = ",".join(["2"] * 12)  # about 180 KB of state file, more than a pipe holds
+
+# Counts the collections that start from runpy's import of the package to the
+# exit; the command ends with os._exit, so the report runs inside a wrapper of it.
+COLLECTION_PROBE = """
+import gc, os, runpy, sys
+
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+
+def report(code, _exit=os._exit):
+    print(code, starts, file=sys.stderr, flush=True)
+    _exit(code)
+
+os._exit = report
+sys.argv = ["qcert", *sys.argv[1:]]
+runpy.run_module("qcert.cli", run_name="__main__")
+"""
+
+
+def run_module(*argv, env=None, **streams) -> subprocess.CompletedProcess:
+    """``python -m qcert.cli ARGV`` with buffered stdout; stdout and stderr piped by default."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-m", "qcert.cli", *argv],
+                          env=env or child_env(False), timeout=120, **streams)
+
+
+class TestProcessExit:
+    """The command process ends with ``os._exit`` once its output is written.
+
+    Exit 141 goes the same way; TestClosedStdout checks it.
+    """
+
+    def test_stdout_larger_than_a_pipe_is_written_whole(self, capsys):
+        proc = run_module("sample", "--dims", TWELVE_QUBITS)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == run_cli(capsys, "sample", "--dims", TWELVE_QUBITS)[1]
+
+    def test_out_file_is_written_whole(self, tmp_path, capsys):
+        path = tmp_path / "psi.json"
+        proc = run_module("sample", "--dims", TWELVE_QUBITS, "--out", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert text == run_cli(capsys, "sample", "--dims", TWELVE_QUBITS)[1]
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_exit_code_and_stdout_are_mains(self, tmp_path, capsys, code):
+        argv = TestCollectorPause.argv(code, tmp_path)
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+        assert proc.stdout.decode() == run_cli(capsys, *argv)[1]
+
+    def test_stdout_closed_at_start_exits_3_silently(self):
+        proc = run_module("demo", "eq8", stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (3, b"")
+
+    def test_no_collection_from_the_first_import_to_exit(self, tmp_path):
+        env = dict(child_env(False), PYTHONPYCACHEPREFIX=str(tmp_path))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        argv = [sys.executable, "-c", COLLECTION_PROBE, "demo", "eq8"]
+        # The first run writes the bytecode: compiling cli.py from source, before
+        # its first line runs, allocates enough to start a collection.
+        for _ in range(2):
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stderr == "3 []\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["demo", "eq8"], ["sample", "--dims", TWELVE_QUBITS]],
+                             ids=["small", "larger-than-the-buffer"])
+    def test_full_stdout_exits_2_with_one_line(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = run_module(*argv, env=child_env(unbuffered), stdout=full)
+        assert proc.returncode == 2
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert proc.stderr.decode() == f"qcert: cannot write to stdout: {reason}\n"
+
+
+class TestEntryPoint:
+    def test_console_script_calls_what_the_main_module_calls(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qcert"]
+        module, _, name = target.partition(":")
+        tree = ast.parse(Path(cli.__file__).read_text())
+        main_blocks = [node for node in tree.body if isinstance(node, ast.If)
+                       and ast.unparse(node.test) == "__name__ == '__main__'"]
+        called = [ast.unparse(statement) for statement in main_blocks[-1].body]
+        assert called == [f"{name}()"]
+        assert getattr(importlib.import_module(module), name) is getattr(cli, name)
+
+    def test_installed_script_matches_the_module(self):
+        script = shutil.which("qcert")
+        if script is None or "from qcert.cli import run_and_exit" not in Path(script).read_text(
+                errors="replace"):
+            pytest.skip("no qcert console script of this checkout on PATH")
+        installed = subprocess.run([script, "demo", "eq8"], capture_output=True,
+                                   env=child_env(False), timeout=120)
+        module = run_module("demo", "eq8")
+        assert (installed.returncode, installed.stdout, installed.stderr) == (
+            module.returncode, module.stdout, module.stderr)

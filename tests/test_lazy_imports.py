@@ -123,14 +123,18 @@ def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):
 
 # --- modules each command leaves unloaded ------------------------------------
 
+# The command ends with os._exit, so the report runs inside a wrapper of it.
 RUN = """
-import runpy, sys
+import os, runpy, sys
+
+def report(code, _exit=os._exit):
+    print(code, *sorted(m for m in sys.modules if m.startswith("qcert.")), file=sys.stderr,
+          flush=True)
+    _exit(code)
+
+os._exit = report
 sys.argv = ["qcert", *sys.argv[1:]]
-try:
-    runpy.run_module("qcert.cli", run_name="__main__")
-except SystemExit as exc:
-    code = exc.code
-print(code, *sorted(m for m in sys.modules if m.startswith("qcert.")), file=sys.stderr)
+runpy.run_module("qcert.cli", run_name="__main__")
 """
 
 # (argv with {state} and {marginals} placeholders, exit code, modules not imported)
