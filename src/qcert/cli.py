@@ -1,14 +1,14 @@
 """Command-line interface and the JSON file formats it speaks.
 
 State files carry {"dims", "kind", "vector"|"matrix"}; marginal files carry
-{"dims", "marginals": [{"parties", "matrix"}, ...], "global_purity"?}. Any
-other key, and any key given twice in one object, is an input error.
-Complex numbers serialize as two-element [re, im] arrays, and every number is
-printed with 17 significant digits, a negative zero as -0.0, so doubles
-round-trip losslessly. Each command prints exactly one JSON document, except
-``sample --out``, which prints none. ``sample`` prints the state file; every
-other document opens with ``schema_version`` and ``kind``, and the reports
-also carry the tolerances used for their verdicts.
+{"dims", "marginals": [{"parties", "matrix"}, ...], "global_purity"?}. Any other
+key, and any key given twice in one object, is an input error. Complex numbers
+serialize as two-element [re, im] arrays, and every number is printed with 17
+significant digits, a negative zero as -0.0, so doubles round-trip losslessly.
+Each command prints exactly one JSON document, except ``sample --out``, which
+prints none, and ``--help``, which prints argparse's text. ``sample`` prints the
+state file; every other document opens with ``schema_version`` and ``kind``, and
+the reports also carry the tolerances used for their verdicts.
 
 ``state_file_dict`` and ``marginal_file_dict`` hold the complex arrays as
 numpy arrays, which only ``dumps`` writes; ``parse_state_dict`` and
@@ -508,11 +508,18 @@ def cmd_demo(args) -> tuple[dict, int]:
     return _document("demo_eq8", marginal_file=file_dict, certificate=certificate), code
 
 
+class _Help(Exception):
+    """``--help``, carrying the help text, which ``_run`` prints as the command's output."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors, printed as ``error`` JSON."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,6 +576,8 @@ def _run(argv) -> int:
         args = build_parser().parse_args(argv)
         doc, code = args.func(args)
         text = None if doc is None else dumps(doc)
+    except _Help as help_:
+        text, code = help_.args[0].removesuffix("\n"), EXIT_OK
     except BrokenPipeError:
         raise
     except (ValueError, OSError, RecursionError, MemoryError) as exc:

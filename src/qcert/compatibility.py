@@ -1,8 +1,8 @@
 """Marginal-set compatibility certificates.
 
-The certificates test a necessary condition only: a passing set of reduced
-density matrices is reported as "consistent" with some global state, never
-as compatible. A violation, in contrast, is a proof of incompatibility.
+The certificates test a necessary condition only: a set of reduced density matrices
+passes, by ``measures._holds`` of the printed slack, as "consistent" with some global
+state, never as compatible. A violation, in contrast, is a proof of incompatibility.
 
 The tested inequality bounds the alternating purity sum
 sum_{|A| odd} Tr rho_A^2 - sum_{|A| even} Tr rho_A^2 over nonempty subsets A
@@ -22,11 +22,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import TOL_INPUT, TOL_VERDICT
+from .config import TOL_INPUT
 from .hilbert import (
     Operator, SpaceShape, SubsetMask, _reduced_matrix, _require_density, purity,
 )
-from .measures import _signed_sum, purity_table
+from .measures import _holds, _signed_sum, purity_table
 
 BEST_CASE = "best-case"
 
@@ -134,7 +134,7 @@ def _certificate(
         full_sign = 1.0 if n % 2 == 1 else -1.0
         lhs = lhs_proper + full_sign * global_purity
         slack = 1.0 - lhs
-        verdict = VERDICT_INCOMPATIBLE if slack < -TOL_VERDICT else VERDICT_CONSISTENT
+        verdict = VERDICT_CONSISTENT if _holds(slack) else VERDICT_INCOMPATIBLE
     per_subset = {SubsetMask(bits, n): value for bits, value in purities.items()}
     return CompatReport(
         theorem, dims, lhs, lhs_proper, slack, verdict, per_subset, missing, recorded_purity

@@ -9,10 +9,10 @@ audit route of ``qcert.oracle``, which imports nothing from this module, are
 independent of the table and of each other. All four must agree within
 TOL_ROUTE.
 
-Every subset quantity reads one complete purity table per state; only a
-single monogamy check, ``corollary1_check``, evaluates just its submasks.
-For a pure state the table costs one contraction per unbalanced pair
-{A, rest}, from its smaller side, and one per side of each balanced cut.
+Every subset quantity reads one complete purity table per state; only a single monogamy
+check, ``corollary1_check``, evaluates just its submasks. For a pure state the table costs
+one contraction per unbalanced pair {A, rest}, from its smaller side, and one per side of
+each balanced cut. Every verdict is ``_holds`` of the slack its report prints.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ODD_N_ERROR, ROUTES
+from .config import ODD_N_ERROR, ROUTES, TOL_VERDICT
 from .hilbert import Operator, PureState, SubsetMask, _check_mask, partial_trace, purity
 
 
@@ -99,6 +99,11 @@ def _signed_sum(terms) -> float:
     for bits, value in terms:
         total += value if bits.bit_count() & 1 else -value
     return total
+
+
+def _holds(slack: float) -> bool:
+    """Whether a check holds, from the one slack its report prints; a NaN fails."""
+    return slack >= -TOL_VERDICT
 
 
 def _e_partitions(table: list[float]) -> float:

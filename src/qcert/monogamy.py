@@ -1,9 +1,9 @@
 """Monogamy inequalities for squared I-concurrence and disorder relations.
 
-Both families are rearrangements of the even-N compatibility condition: the
-monogamy sums range over subsets A of a chosen even-size index set, with each
-concurrence cut against the full complement of A, and the disorder relation
-compares even-subset against odd-subset linear-entropy sums.
+Both families rearrange the even-N compatibility condition: the monogamy sums
+range over subsets A of a chosen even-size index set, each concurrence cut against
+the full complement of A; the disorder relation compares even- against odd-subset
+linear-entropy sums. A report stores its slack, and ``measures._holds`` of it decides.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import measures
-from .config import TOL_VERDICT
 from .hilbert import Operator, PureState, SubsetMask, _check_mask
-from .measures import _split_sum, purity_table
+from .measures import _holds, _split_sum, purity_table
 
 
 def _submasks(bits: int) -> list[int]:
@@ -34,11 +33,8 @@ class MonogamyReport:
     index_set: SubsetMask
     lhs: float
     rhs: float
+    slack: float  # lhs - rhs
     holds: bool
-
-    @property
-    def slack(self) -> float:
-        return self.lhs - self.rhs
 
 
 def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
@@ -48,7 +44,8 @@ def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
         (bits, 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits]))
         for bits in _submasks(index_set.bits)
     )
-    return MonogamyReport(index_set, lhs, rhs, lhs >= rhs - TOL_VERDICT)
+    slack = lhs - rhs
+    return MonogamyReport(index_set, lhs, rhs, slack, _holds(slack))
 
 
 def corollary1_check(psi: PureState, index_set: SubsetMask) -> MonogamyReport:
@@ -86,11 +83,8 @@ class DisorderReport:
 
     lhs: float
     rhs: float
+    slack: float  # rhs - lhs
     holds: bool
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
 
 def disorder_check(rho: PureState | Operator) -> DisorderReport:
@@ -105,4 +99,5 @@ def disorder_check(rho: PureState | Operator) -> DisorderReport:
         raise ValueError("disorder relation requires an even party count")
     table = purity_table(rho)
     rhs, lhs = _split_sum((bits, 1.0 - table[bits]) for bits in range(1, len(table)))
-    return DisorderReport(lhs, rhs, lhs <= rhs + TOL_VERDICT)
+    slack = rhs - lhs
+    return DisorderReport(lhs, rhs, slack, _holds(slack))

@@ -5,7 +5,13 @@ settings and strategies; ``mask``, ``bell_state``, ``random_unitary`` and
 ``kron`` (the operator of a product of two systems) build inputs;
 ``assert_same_float`` checks equality bit for bit, the sign of zero included;
 ``run_cli`` runs one ``qcert`` command in process, and ``error_message`` reads
-the message of its exit-2 error document.
+the message of its exit-2 error document. ``exit_probe`` is the ``python -c``
+script that runs a command as ``python -m qcert.cli`` does and reports from a
+wrapper of ``os._exit``, where the command ends.
+
+``dicke_state(n, m)`` is the n-qubit Dicke state with m excitations, and
+``dicke_purities(n, m)`` its exact subset purities as fractions, one per
+subset size, from the binomial weights of its marginals alone.
 
 ``marginal_set`` builds the claimed marginal set of a known state: every
 nonempty proper subset, each matrix by ``partial_trace``. The package builds
@@ -45,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import settings
@@ -79,6 +86,26 @@ def shapes(min_parties=1, max_parties=6, max_dim=144, even=False):
     if even:
         dims = dims.filter(lambda d: len(d) % 2 == 0)
     return dims.map(lambda d: SpaceShape(tuple(d)))
+
+
+def dicke_state(n: int, m: int) -> PureState:
+    """Equal amplitudes on the n-qubit basis states with m ones."""
+    amp = np.array([i.bit_count() == m for i in range(1 << n)], dtype=float)
+    return PureState(SpaceShape((2,) * n), amp / np.sqrt(math.comb(n, m)))
+
+
+def dicke_purities(n: int, m: int) -> list[Fraction]:
+    """Tr rho_A^2 of ``dicke_state(n, m)`` for |A| = 0..n, exactly.
+
+    rho_A is diagonal in the count j of ones on A, with weight
+    p_j = C(k, j) C(n - k, m - j) / C(n, m) for k = |A|, so P_k = sum_j p_j^2.
+    """
+    total = math.comb(n, m)
+    return [
+        sum(Fraction(math.comb(k, j) * math.comb(n - k, m - j), total) ** 2
+            for j in range(min(k, m) + 1))
+        for k in range(n + 1)
+    ]
 
 
 def mask(parties, n: int) -> SubsetMask:
@@ -292,6 +319,26 @@ def max_abs(a, b) -> float:
 def assert_same_float(value: float, ref: float) -> None:
     assert value == ref
     assert math.copysign(1.0, value) == math.copysign(1.0, ref)
+
+
+def exit_probe(report: str, setup: str = "") -> str:
+    """A ``python -c`` script: ``qcert`` on its arguments, run as ``python -m qcert.cli``.
+
+    The statements ``setup`` run first. The command ends with ``os._exit``, so
+    the script wraps it: the wrapper prints the exit code and the expression
+    ``report`` on one line of stderr, then exits.
+    """
+    return f"""
+import gc, os, runpy, sys
+{setup}
+def report(code, _exit=os._exit):
+    print(code, {report}, file=sys.stderr, flush=True)
+    _exit(code)
+
+os._exit = report
+sys.argv = ["qcert", *sys.argv[1:]]
+runpy.run_module("qcert.cli", run_name="__main__")
+"""
 
 
 def run_cli(capsys, *argv):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import errno
 import gc
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import error_message, marginal_set, run_cli, traced_peak
+from conftest import error_message, exit_probe, marginal_set, run_cli, traced_peak
 from test_stdout_digests import STATES as DIGEST_STATES
 from qcert import (
     Operator,
@@ -657,10 +658,18 @@ class TestUsageErrors:
         assert err == ""
 
     def test_help_still_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["measure", "--help"])
-        assert info.value.code == 0
+        assert main(["measure", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: qcert measure")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["measure", "--help"]], ids=["qcert", "measure"])
+    def test_help_prints_argparses_own_text(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+            with pytest.raises(SystemExit):
+                main(argv)
+        stock = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr() == (stock, "")
 
 
 class TestNonFiniteInput:
@@ -935,22 +944,11 @@ class TestCollectorPause:
 
 TWELVE_QUBITS = ",".join(["2"] * 12)  # about 180 KB of state file, more than a pipe holds
 
-# Counts the collections that start from runpy's import of the package to the
-# exit; the command ends with os._exit, so the report runs inside a wrapper of it.
-COLLECTION_PROBE = """
-import gc, os, runpy, sys
-
+# Counts the collections that start from runpy's import of the package to the exit.
+COLLECTION_PROBE = exit_probe("starts", setup="""
 starts = []
 gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
-
-def report(code, _exit=os._exit):
-    print(code, starts, file=sys.stderr, flush=True)
-    _exit(code)
-
-os._exit = report
-sys.argv = ["qcert", *sys.argv[1:]]
-runpy.run_module("qcert.cli", run_name="__main__")
-"""
+""")
 
 
 def run_module(*argv, env=None, **streams) -> subprocess.CompletedProcess:
@@ -1002,8 +1000,9 @@ class TestProcessExit:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [["demo", "eq8"], ["sample", "--dims", TWELVE_QUBITS]],
-                             ids=["small", "larger-than-the-buffer"])
+    @pytest.mark.parametrize(
+        "argv", [["demo", "eq8"], ["sample", "--dims", TWELVE_QUBITS], ["measure", "--help"]],
+        ids=["small", "larger-than-the-buffer", "help"])
     def test_full_stdout_exits_2_with_one_line(self, argv, unbuffered):
         with open("/dev/full", "wb") as full:
             proc = run_module(*argv, env=child_env(unbuffered), stdout=full)

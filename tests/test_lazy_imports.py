@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import qcert
-from conftest import marginal_set
+from conftest import exit_probe, marginal_set
 from qcert import SpaceShape, measures, random_pure
 from qcert.cli import dumps, marginal_file_dict, state_file_dict
 
@@ -123,19 +123,8 @@ def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):
 
 # --- modules each command leaves unloaded ------------------------------------
 
-# The command ends with os._exit, so the report runs inside a wrapper of it.
-RUN = """
-import os, runpy, sys
-
-def report(code, _exit=os._exit):
-    print(code, *sorted(m for m in sys.modules if m.startswith("qcert.")), file=sys.stderr,
-          flush=True)
-    _exit(code)
-
-os._exit = report
-sys.argv = ["qcert", *sys.argv[1:]]
-runpy.run_module("qcert.cli", run_name="__main__")
-"""
+# The exit code, then every qcert module loaded by the end of the command.
+RUN = exit_probe('*sorted(m for m in sys.modules if m.startswith("qcert."))')
 
 # (argv with {state} and {marginals} placeholders, exit code, modules not imported)
 COMMANDS = {

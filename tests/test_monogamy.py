@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
 
-from conftest import kron, mask
-from qcert import measures
+from conftest import SETTINGS, kron, marginal_set, mask, seeds, shapes
+from qcert import compatibility, measures, monogamy
+from qcert.compatibility import VERDICT_CONSISTENT, VERDICT_INCOMPATIBLE
+from qcert.config import TOL_VERDICT
 from qcert import (
     SpaceShape,
     SubsetMask,
@@ -19,6 +22,8 @@ from qcert import (
     random_mixed,
     random_pure,
     self_check,
+    theorem1_check,
+    theorem2_check,
     w_state,
 )
 
@@ -150,3 +155,42 @@ class TestDisorder:
         rho = random_mixed(SpaceShape((2, 2, 2)), 3, 0)
         with pytest.raises(ValueError, match="even"):
             disorder_check(rho)
+
+
+class TestOneVerdictRule:
+    """Every ``holds`` and ``verdict`` is ``measures._holds`` of the slack its report prints."""
+
+    # Sums near 10^4, where rhs - TOL_VERDICT would round by ulp(rhs) and the slack is exact.
+    TABLE = [1.0, -4982.579342041851, -4982.579342041851, -9966.158684084703]
+    SLACK = -1.000444171950221e-09
+
+    def test_monogamy_slack_just_below_the_tolerance_fails(self):
+        table = {0: 1.0, 1: -1951.8585083675655, 2: -1951.8585083675655, 3: -3904.717016735631}
+        rep = monogamy._corollary1(table, SubsetMask(0b0011, 4))
+        assert rep.slack == self.SLACK
+        assert rep.holds is False
+
+    def test_disorder_slack_just_below_the_tolerance_fails(self, monkeypatch):
+        monkeypatch.setattr(monogamy, "purity_table", lambda state: list(self.TABLE))
+        rep = disorder_check(random_pure(SpaceShape((2, 2)), 0))
+        assert rep.slack == self.SLACK
+        assert rep.holds is False
+
+    def test_a_nan_slack_fails_in_every_check(self, monkeypatch):
+        nan = float("nan")
+        assert monogamy._corollary1({0: 1.0, 1: nan, 2: 0.5, 3: 1.0}, mask([0, 1], 2)).holds is False
+        monkeypatch.setattr(monogamy, "purity_table", lambda state: [1.0, nan, 0.5, 1.0])
+        assert disorder_check(random_pure(SpaceShape((2, 2)), 0)).holds is False
+        rep = compatibility._certificate((2, 2), {1: nan, 2: 0.5}, 1.0, "theorem2")
+        assert rep.verdict == VERDICT_INCOMPATIBLE
+
+    @SETTINGS
+    @given(shapes(even=True), seeds)
+    def test_every_verdict_follows_from_its_slack(self, shape, seed):
+        psi = random_pure(shape, seed)
+        rho = random_mixed(shape, 2, seed)
+        for rep in [*corollary1_scan(psi), disorder_check(psi), disorder_check(rho)]:
+            assert rep.holds == (rep.slack >= -TOL_VERDICT)
+        marginals = marginal_set(rho)
+        for cert in (self_check(rho), theorem1_check(marginals), theorem2_check(marginals)):
+            assert (cert.verdict == VERDICT_CONSISTENT) == (cert.slack >= -TOL_VERDICT)
