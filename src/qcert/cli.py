@@ -304,7 +304,7 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
     subject = "marginal file: 'global_purity'"
     if "global_purity" in data:  # a null is checked too, and is not a number
         # Checked here, so a flag that overrides the field does not hide a bad one.
-        full = entries.get(shape.full_mask())
+        full = marginals.purities.get(shape.full_mask().bits)
         global_purity = checked_global_purity(shape, global_purity, subject, full)
     return marginals, global_purity
 

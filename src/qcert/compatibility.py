@@ -9,14 +9,14 @@ sum_{|A| odd} Tr rho_A^2 - sum_{|A| even} Tr rho_A^2 over nonempty subsets A
 by 1, where the full-set term is Tr rho^2 of the global state: read from a
 full-set marginal when one is provided, otherwise fixed at 1 when a pure
 global state is claimed, supplied by the caller for mixed global states, and
-defaulted to the compatibility-friendliest value 1 when unknown. One core reads
-only those purities, keyed by mask bits: a marginal set, which holds claimed matrices
-only, through the purity of each, and ``self_check`` through its state's ``purity_table``.
+defaulted to the compatibility-friendliest value 1 when unknown. One core reads only
+a purity map keyed by mask bits and a claim, which it checks against the map's full-set
+entry: a marginal set computes each purity once, and ``self_check`` reads a ``purity_table``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Mapping
 
@@ -43,10 +43,11 @@ def required_subsets(n: int) -> tuple[SubsetMask, ...]:
 
 @dataclass(frozen=True, eq=False)
 class MarginalSet:
-    """Claimed reduced density matrices from a file or a caller, keyed by their parties."""
+    """Claimed reduced density matrices keyed by their parties, and their purities by bits."""
 
     shape: SpaceShape
     entries: Mapping[SubsetMask, Operator]
+    purities: dict[int, float] = field(init=False, repr=False)  # set once, after validation
 
     def __post_init__(self) -> None:
         fixed: dict[SubsetMask, Operator] = {}
@@ -65,6 +66,7 @@ class MarginalSet:
             _require_density(op, f"marginal on parties {mask.parties} is not a density matrix")
             fixed[mask] = op
         object.__setattr__(self, "entries", fixed)
+        object.__setattr__(self, "purities", {mask.bits: purity(op) for mask, op in fixed.items()})
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,12 @@ class CompatReport:
     assumed_global_purity: float | str
 
 
-def checked_global_purity(
-    shape: SpaceShape, g, subject: str, full: Operator | None = None
-) -> float:
+def checked_global_purity(shape: SpaceShape, g, subject: str, full: float | None = None) -> float:
     """``g`` as a float, once it is a possible global purity of a state of ``shape``.
 
     The one global-purity check: ``g`` must be a real number, not a bool (numpy
-    numbers pass), finite as a float, in [1/D, 1], and within TOL_INPUT of the
-    purity of ``full``, a full-set marginal, if any. It raises ``ValueError`` naming ``subject``.
+    numbers pass), finite as a float, in [1/D, 1], and within TOL_INPUT of ``full``,
+    the purity of a full-set marginal, if any. It raises ``ValueError`` naming ``subject``.
     """
     if isinstance(g, bool) or not isinstance(g, Real):
         raise ValueError(f"{subject} must be a number")
@@ -105,10 +105,8 @@ def checked_global_purity(
     lowest = 1.0 / shape.total_dim
     if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
         raise ValueError(f"{subject} must lie in [1/D, 1] = [{lowest}, 1], got {g}")
-    if full is not None and abs(g - purity(full)) > TOL_INPUT:
-        raise ValueError(
-            f"{subject} {g} differs from the full-set marginal's purity {purity(full)}"
-        )
+    if full is not None and abs(g - full) > TOL_INPUT:
+        raise ValueError(f"{subject} {g} differs from the full-set marginal's purity {full}")
     return g
 
 
@@ -117,11 +115,14 @@ def _certificate(
 ) -> CompatReport:
     """Bound the alternating sum of ``purities``, a purity map keyed by mask bits.
 
-    The full-set term is the map's full-set entry, otherwise ``claimed`` (already
-    passed through ``checked_global_purity``), or the best case 1 when that is None.
+    A ``claimed`` global purity must pass ``checked_global_purity`` against the map's full-set
+    entry. The full-set term is that entry, else ``claimed``, else the best case 1.
     """
     n = len(dims)
     full = (1 << n) - 1
+    if claimed is not None:  # the one place where a claim meets the map
+        shape = SpaceShape(dims)
+        claimed = checked_global_purity(shape, claimed, "global purity", purities.get(full))
     global_purity = purities.get(full, claimed)
     recorded_purity: float | str = global_purity
     if global_purity is None:
@@ -141,22 +142,12 @@ def _certificate(
     )
 
 
-def _marginal_certificate(marginals: MarginalSet, theorem: str, g: float | None) -> CompatReport:
-    """The certificate of ``marginals``: their purities, in ascending mask order, feed the core."""
-    shape = marginals.shape
-    full = marginals.entries.get(shape.full_mask())
-    if g is not None:
-        g = checked_global_purity(shape, g, "global purity", full)
-    purities = {mask.bits: purity(op) for mask, op in marginals.entries.items()}
-    return _certificate(shape.dims, purities, g, theorem)
-
-
 def theorem1_check(marginals: MarginalSet) -> CompatReport:
     """Certificate against a common global *pure* state (full-set purity fixed at 1).
 
     A provided full-set marginal must then be pure within TOL_INPUT.
     """
-    return _marginal_certificate(marginals, "theorem1", 1.0)
+    return _certificate(marginals.shape.dims, marginals.purities, 1.0, "theorem1")
 
 
 def theorem2_check(
@@ -171,7 +162,7 @@ def theorem2_check(
     """
     if marginals.shape.n_parties % 2 == 1:
         raise ValueError("this certificate requires an even party count")
-    return _marginal_certificate(marginals, "theorem2", global_purity)
+    return _certificate(marginals.shape.dims, marginals.purities, global_purity, "theorem2")
 
 
 @dataclass(frozen=True)
@@ -216,5 +207,4 @@ def self_check(rho: Operator) -> CompatReport:
         raise ValueError("this certificate requires an even party count")
     _require_density(rho, "self_check needs a valid density matrix")
     table = purity_table(rho)
-    g = checked_global_purity(rho.shape, table[-1], "global purity")
-    return _certificate(rho.shape.dims, dict(enumerate(table[1:-1], 1)), g, "theorem2")
+    return _certificate(rho.shape.dims, dict(enumerate(table[1:-1], 1)), table[-1], "theorem2")

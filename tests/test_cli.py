@@ -821,6 +821,19 @@ class TestFullSetMarginal:
             message = error_message(*run_cli(capsys, "compat", "--marginals", path, *extra))
             assert "'global_purity' 1.0" in message and "0.25" in message
 
+    def test_each_marginal_purity_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        rho = random_mixed(SpaceShape((2, 2, 2, 2)), 3, 9)
+        path = self.write(tmp_path, rho, rho, global_purity=purity(rho))
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return purity(op)
+
+        monkeypatch.setattr("qcert.compatibility.purity", counted)
+        assert run_cli(capsys, "compat", "--marginals", path)[0] == 0
+        assert len(calls) == 15
+
     def test_full_marginal_is_the_only_source(self, tmp_path, capsys):
         rho = random_mixed(SpaceShape((2, 2, 2, 2)), 6, 7)
         path = self.write(tmp_path, rho, rho)
@@ -931,6 +944,9 @@ class TestCollectorPause:
             if phase == "start":
                 starts.append(info["generation"])
 
+        # The command's first import of its modules would leave a collection due
+        # on exit from main; done here, it happens before the probe is attached.
+        importlib.import_module("qcert.monogamy")
         gc.enable()
         gc.collect()  # empties the youngest generation, so no collection is due on entry
         gc.callbacks.append(probe)

@@ -322,6 +322,19 @@ class TestGlobalPurityInput:
         with pytest.raises(ValueError, match=r"purity 1\.0 .*purity 0\.25"):
             theorem1_check(marginals)
 
+    @pytest.mark.parametrize("certify, message", [
+        (lambda marginals: _certificate((2, 2), {1: 0.5, 2: 0.5, 3: 0.3}, 0.9, "theorem2"),
+         "global purity 0.9 differs from the full-set marginal's purity 0.3"),
+        (lambda marginals: theorem2_check(marginals, 0.9),
+         "global purity 0.9 differs from the full-set marginal's purity 0.25"),
+        (theorem1_check, "global purity 1.0 differs from the full-set marginal's purity 0.25"),
+    ], ids=["core", "theorem2", "theorem1"])
+    def test_core_refuses_a_claim_that_conflicts_with_its_map(self, certify, message):
+        marginals = with_full_marginal(Operator(SpaceShape((2, 2)), np.eye(4) / 4))
+        with pytest.raises(ValueError) as err:
+            certify(marginals)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("value, message", [
         *((v, "global purity must be a number") for v in ("0.5", True, False, [0.5], 0.5j)),
         (10**400, "global purity must be a finite number"),
