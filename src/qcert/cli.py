@@ -305,7 +305,7 @@ def parse_marginal_dict(data) -> tuple[MarginalSet, float | None]:
     if "global_purity" in data:  # a null is checked too, and is not a number
         # Checked here, so a flag that overrides the field does not hide a bad one.
         full = marginals.purities.get(shape.full_mask().bits)
-        global_purity = checked_global_purity(shape, global_purity, subject, full)
+        global_purity = checked_global_purity(shape.total_dim, global_purity, subject, full)
     return marginals, global_purity
 
 

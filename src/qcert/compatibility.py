@@ -1,7 +1,7 @@
 """Marginal-set compatibility certificates.
 
 The certificates test a necessary condition only: a set of reduced density matrices
-passes, by ``measures._holds`` of the printed slack, as "consistent" with some global
+passes, by ``sums._holds`` of the printed slack, as "consistent" with some global
 state, never as compatible. A violation, in contrast, is a proof of incompatibility.
 
 The tested inequality bounds the alternating purity sum
@@ -16,7 +16,7 @@ entry: a marginal set computes each purity once, and ``self_check`` reads a ``pu
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from numbers import Real
 from typing import Mapping
 
@@ -24,9 +24,9 @@ import numpy as np
 
 from .config import TOL_INPUT
 from .hilbert import (
-    Operator, SpaceShape, SubsetMask, _reduced_matrix, _require_density, purity,
+    Operator, SpaceShape, SubsetMask, _Record, _reduced_matrix, _require_density, purity,
 )
-from .measures import _holds, _signed_sum, purity_table
+from .sums import _holds, _signed_sum
 
 BEST_CASE = "best-case"
 
@@ -41,23 +41,23 @@ def required_subsets(n: int) -> tuple[SubsetMask, ...]:
     return tuple(SubsetMask(bits, n) for bits in range(1, full))
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalSet:
-    """Claimed reduced density matrices keyed by their parties, and their purities by bits."""
+class MarginalSet(_Record, shown=("shape", "entries"), by_identity=True):
+    """Claimed reduced density matrices keyed by their parties, and their purities by bits.
 
-    shape: SpaceShape
-    entries: Mapping[SubsetMask, Operator]
-    purities: dict[int, float] = field(init=False, repr=False)  # set once, after validation
+    ``purities`` is set once, after every entry is validated, in ascending mask order.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("shape", "entries", "purities")
+
+    def __init__(self, shape: SpaceShape, entries: Mapping[SubsetMask, Operator]) -> None:
         fixed: dict[SubsetMask, Operator] = {}
-        for mask in sorted(self.entries, key=lambda m: m.bits):
-            op = self.entries[mask]
-            if mask.n_parties != self.shape.n_parties:
+        for mask in sorted(entries, key=lambda m: m.bits):
+            op = entries[mask]
+            if mask.n_parties != shape.n_parties:
                 raise ValueError("marginal key is over a different party count")
             if mask.is_empty:
                 raise ValueError("marginal keys must be nonempty")
-            sub = self.shape.subshape(mask)
+            sub = shape.subshape(mask)
             if op.shape.dims != sub.dims:
                 raise ValueError(
                     f"marginal on parties {mask.parties} has dims {op.shape.dims}, "
@@ -65,12 +65,11 @@ class MarginalSet:
                 )
             _require_density(op, f"marginal on parties {mask.parties} is not a density matrix")
             fixed[mask] = op
-        object.__setattr__(self, "entries", fixed)
-        object.__setattr__(self, "purities", {mask.bits: purity(op) for mask, op in fixed.items()})
+        purities = {mask.bits: purity(op) for mask, op in fixed.items()}
+        _Record.__init__(self, shape, fixed, purities)
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(_Record):
     """Outcome of one compatibility certificate.
 
     ``lhs`` includes the full-set purity term (the value actually bounded by
@@ -78,19 +77,31 @@ class CompatReport:
     subsets. A "consistent" verdict only means the necessary condition holds.
     """
 
-    theorem: str
-    dims: tuple[int, ...]
-    lhs: float | None
-    lhs_proper: float | None
-    slack: float | None
-    verdict: str
-    per_subset_purities: dict[SubsetMask, float]
-    missing_subsets: tuple[SubsetMask, ...]
-    assumed_global_purity: float | str
+    __slots__ = (
+        "theorem", "dims", "lhs", "lhs_proper", "slack", "verdict", "per_subset_purities",
+        "missing_subsets", "assumed_global_purity",
+    )
+
+    def __init__(
+        self,
+        theorem: str,
+        dims: tuple[int, ...],
+        lhs: float | None,
+        lhs_proper: float | None,
+        slack: float | None,
+        verdict: str,
+        per_subset_purities: dict[SubsetMask, float],
+        missing_subsets: tuple[SubsetMask, ...],
+        assumed_global_purity: float | str,
+    ) -> None:
+        _Record.__init__(
+            self, theorem, dims, lhs, lhs_proper, slack, verdict, per_subset_purities,
+            missing_subsets, assumed_global_purity,
+        )
 
 
-def checked_global_purity(shape: SpaceShape, g, subject: str, full: float | None = None) -> float:
-    """``g`` as a float, once it is a possible global purity of a state of ``shape``.
+def checked_global_purity(total_dim: int, g, subject: str, full: float | None = None) -> float:
+    """``g`` as a float, once it is a possible global purity of a state of dimension ``total_dim``.
 
     The one global-purity check: ``g`` must be a real number, not a bool (numpy
     numbers pass), finite as a float, in [1/D, 1], and within TOL_INPUT of ``full``,
@@ -102,7 +113,7 @@ def checked_global_purity(shape: SpaceShape, g, subject: str, full: float | None
         g = float(g)
     except OverflowError:  # an integer beyond double range
         raise ValueError(f"{subject} must be a finite number") from None
-    lowest = 1.0 / shape.total_dim
+    lowest = 1.0 / total_dim
     if not lowest - TOL_INPUT <= g <= 1.0 + TOL_INPUT:
         raise ValueError(f"{subject} must lie in [1/D, 1] = [{lowest}, 1], got {g}")
     if full is not None and abs(g - full) > TOL_INPUT:
@@ -121,8 +132,9 @@ def _certificate(
     n = len(dims)
     full = (1 << n) - 1
     if claimed is not None:  # the one place where a claim meets the map
-        shape = SpaceShape(dims)
-        claimed = checked_global_purity(shape, claimed, "global purity", purities.get(full))
+        claimed = checked_global_purity(
+            math.prod(dims), claimed, "global purity", purities.get(full)
+        )
     global_purity = purities.get(full, claimed)
     recorded_purity: float | str = global_purity
     if global_purity is None:
@@ -165,13 +177,13 @@ def theorem2_check(
     return _certificate(marginals.shape.dims, marginals.purities, global_purity, "theorem2")
 
 
-@dataclass(frozen=True)
-class MarginalMismatch:
+class MarginalMismatch(_Record):
     """A pair of provided marginals that disagree under partial trace."""
 
-    subset: SubsetMask
-    superset: SubsetMask
-    max_deviation: float
+    __slots__ = ("subset", "superset", "max_deviation")
+
+    def __init__(self, subset: SubsetMask, superset: SubsetMask, max_deviation: float) -> None:
+        _Record.__init__(self, subset, superset, max_deviation)
 
 
 def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:
@@ -203,6 +215,8 @@ def self_check(rho: Operator) -> CompatReport:
     the proper entries as the map, the last entry as the true global purity. Any
     valid state must come out with nonnegative slack up to numerics.
     """
+    from .measures import purity_table
+
     if rho.shape.n_parties % 2 == 1:
         raise ValueError("this certificate requires an even party count")
     _require_density(rho, "self_check needs a valid density matrix")

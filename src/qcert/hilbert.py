@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,20 +33,68 @@ def _index(value) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class SpaceShape:
+class _Record:
+    """Base of the package's immutable records, with a frozen dataclass's methods.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its ``__init__`` through
+    ``object.__setattr__``; assigning or deleting one raises ``AttributeError``. ``repr``, ``==``
+    and ``hash`` read the ``shown`` fields (all by default), ``hash`` as the hash of their tuple.
+    A record ``by_identity`` keeps ``object``'s ``==`` and ``hash``. Pickle and ``copy`` carry
+    every slot and run no ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(
+        cls, shown: tuple[str, ...] | None = None, by_identity: bool = False
+    ) -> None:
+        super().__init_subclass__()
+        cls._shown = cls.__slots__ if shown is None else shown
+        get = operator.attrgetter(*cls._shown)
+        cls._key = staticmethod(get if len(cls._shown) > 1 else lambda record: (get(record),))
+        if by_identity:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        _Record.__init__(self, *state)
+
+
+class SpaceShape(_Record, shown=("dims",)):
     """Party count, per-party dimensions (each >= 2) and total dimension of a composite space.
 
     ``dims`` is empty only for the scalar space left by tracing out every party. One pass checks
     the dims and forms ``total_dim``, multiplying no further past 2**64; an error names one party.
     """
 
-    dims: tuple[int, ...]
-    total_dim: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("dims", "total_dim")
 
-    def __post_init__(self) -> None:
-        dims = tuple(_index(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = tuple(_index(d) for d in dims)
         total = 1
         for p, d in enumerate(dims):
             if d < 2:
@@ -58,7 +105,7 @@ class SpaceShape:
         if total > VECTOR_DIM_CAP:
             size = total if total <= _PRODUCT_BOUND else f"of {len(dims)} parties"
             raise ValueError(f"total dimension {size} exceeds the state cap {VECTOR_DIM_CAP}")
-        object.__setattr__(self, "total_dim", total)
+        _Record.__init__(self, dims, total)
 
     @property
     def n_parties(self) -> int:
@@ -72,22 +119,21 @@ class SpaceShape:
         return SpaceShape(tuple(self.dims[p] for p in keep.parties))
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class SubsetMask(_Record):
     """A subset of party indices 0..N-1 as a bitmask (bit i = party i)."""
 
-    bits: int
-    n_parties: int
+    __slots__ = ("bits", "n_parties")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _index(self.bits))
-        object.__setattr__(self, "n_parties", _index(self.n_parties))
-        if self.n_parties < 1:
+    def __init__(self, bits: int, n_parties: int) -> None:
+        bits = _index(bits)
+        n_parties = _index(n_parties)
+        if n_parties < 1:
             raise ValueError("subset mask needs at least one party")
-        if not 0 <= self.bits < (1 << self.n_parties):
-            raise ValueError(
-                f"mask bits {self.bits:#x} out of range for {self.n_parties} parties"
-            )
+        if not 0 <= bits < (1 << n_parties):
+            raise ValueError(f"mask bits {bits:#x} out of range for {n_parties} parties")
+        # Set directly: a mask is built per subset, and the generic loop costs twice as much.
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n_parties", n_parties)
 
     @classmethod
     def from_parties(cls, parties, n_parties: int) -> SubsetMask:
@@ -134,36 +180,32 @@ def _operator_side(shape: SpaceShape) -> int:
     return d
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
+class Operator(_Record, by_identity=True):
     """A dense complex square matrix tagged with its composite shape; side <= OPERATOR_DIM_CAP."""
 
-    shape: SpaceShape
-    entries: np.ndarray
+    __slots__ = ("shape", "entries")
 
-    def __post_init__(self) -> None:
-        d = _operator_side(self.shape)
-        m = np.array(self.entries, dtype=complex)
+    def __init__(self, shape: SpaceShape, entries: np.ndarray) -> None:
+        d = _operator_side(shape)
+        m = np.array(entries, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        _Record.__init__(self, shape, m)
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Record, by_identity=True):
     """A dense complex state vector tagged with its composite shape of at least one party."""
 
-    shape: SpaceShape
-    amplitudes: np.ndarray
+    __slots__ = ("shape", "amplitudes")
 
-    def __post_init__(self) -> None:
-        if not self.shape.dims:
+    def __init__(self, shape: SpaceShape, amplitudes: np.ndarray) -> None:
+        if not shape.dims:
             raise ValueError("a state needs at least one party")
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if a.size != self.shape.total_dim:
+        a = np.array(amplitudes, dtype=complex).reshape(-1)
+        if a.size != shape.total_dim:
             raise ValueError(
-                f"expected {self.shape.total_dim} amplitudes, got {a.size}"
+                f"expected {shape.total_dim} amplitudes, got {a.size}"
             )
         if not np.isfinite(a).all():
             raise ValueError("state amplitudes must be finite numbers")
@@ -171,7 +213,7 @@ class PureState:
         if abs(nrm2 - 1.0) > TOL_INPUT:
             raise ValueError(f"state squared norm {nrm2} deviates from 1 beyond {TOL_INPUT}")
         a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
+        _Record.__init__(self, shape, a)
 
     def density(self) -> Operator:
         _operator_side(self.shape)
@@ -218,13 +260,15 @@ def purity(rho: Operator) -> float:
     return float(np.einsum("ij,ji->", m, m).real)
 
 
-@dataclass(frozen=True)
-class DensityDiagnostics:
+class DensityDiagnostics(_Record):
     """Deviations of a matrix from being a density matrix; each must be within TOL_INPUT."""
 
-    hermiticity_deviation: float
-    trace_deviation: float
-    min_eigenvalue: float
+    __slots__ = ("hermiticity_deviation", "trace_deviation", "min_eigenvalue")
+
+    def __init__(
+        self, hermiticity_deviation: float, trace_deviation: float, min_eigenvalue: float
+    ) -> None:
+        _Record.__init__(self, hermiticity_deviation, trace_deviation, min_eigenvalue)
 
     @property
     def passes(self) -> bool:

@@ -12,18 +12,18 @@ TOL_ROUTE.
 Every subset quantity reads one complete purity table per state; only a single monogamy
 check, ``corollary1_check``, evaluates just its submasks. For a pure state the table costs
 one contraction per unbalanced pair {A, rest}, from its smaller side, and one per side of
-each balanced cut. Every verdict is ``_holds`` of the slack its report prints.
+each balanced cut. Its sums are the ordered reductions of ``qcert.sums``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ODD_N_ERROR, ROUTES, TOL_VERDICT
-from .hilbert import Operator, PureState, SubsetMask, _check_mask, partial_trace, purity
+from .config import ODD_N_ERROR, ROUTES
+from .hilbert import Operator, PureState, SubsetMask, _Record, _check_mask, partial_trace, purity
+from .sums import _signed_sum, _split_sum
 
 
 def _require_even(n: int) -> None:
@@ -82,30 +82,6 @@ def purity_table(state: PureState | Operator) -> list[float]:
     return [values[bits] if bits in values else values[full ^ bits] for bits in range(full + 1)]
 
 
-def _split_sum(terms) -> tuple[float, float]:
-    """Sums of the ``(mask, value)`` terms of odd and of even mask size, in order."""
-    odd = even = 0.0
-    for bits, value in terms:
-        if bits.bit_count() & 1:
-            odd += value
-        else:
-            even += value
-    return odd, even
-
-
-def _signed_sum(terms) -> float:
-    """Sum of the ``(mask, value)`` terms, negated for an even mask size, in order."""
-    total = 0.0
-    for bits, value in terms:
-        total += value if bits.bit_count() & 1 else -value
-    return total
-
-
-def _holds(slack: float) -> bool:
-    """Whether a check holds, from the one slack its report prints; a NaN fails."""
-    return slack >= -TOL_VERDICT
-
-
 def _e_partitions(table: list[float]) -> float:
     # Block a holds party 0; both blocks are odd (class P_I) exactly when |a| is.
     full = len(table) - 1
@@ -138,8 +114,7 @@ def i_concurrence_sq(psi: PureState, subset: SubsetMask) -> float:
     return 2.0 * (1.0 - marginal_purity(psi, subset))
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(_Record):
     """Values of E by route, keyed in the order they print, plus the purities used.
 
     ``values`` has the keys ``partitions``, ``projector``, ``subset_sum`` and
@@ -147,9 +122,15 @@ class MeasureReport:
     is None when no route read the purity table.
     """
 
-    dims: tuple[int, ...]
-    values: dict[str, float | None]
-    per_subset_purities: dict[SubsetMask, float] | None
+    __slots__ = ("dims", "values", "per_subset_purities")
+
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        values: dict[str, float | None],
+        per_subset_purities: dict[SubsetMask, float] | None,
+    ) -> None:
+        _Record.__init__(self, dims, values, per_subset_purities)
 
     def route_deltas(self) -> dict[str, float]:
         """|a - b| for every pair of routes with a value, keyed "a_vs_b" in name order."""

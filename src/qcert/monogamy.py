@@ -3,16 +3,15 @@
 Both families rearrange the even-N compatibility condition: the monogamy sums
 range over subsets A of a chosen even-size index set, each concurrence cut against
 the full complement of A; the disorder relation compares even- against odd-subset
-linear-entropy sums. A report stores its slack, and ``measures._holds`` of it decides.
+linear-entropy sums. A report stores its slack, and ``sums._holds`` of it decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import measures
-from .hilbert import Operator, PureState, SubsetMask, _check_mask
-from .measures import _holds, _split_sum, purity_table
+from .hilbert import Operator, PureState, SubsetMask, _Record, _check_mask
+from .measures import purity_table
+from .sums import _holds, _split_sum
 
 
 def _submasks(bits: int) -> list[int]:
@@ -26,15 +25,15 @@ def _submasks(bits: int) -> list[int]:
         sub = (sub - bits) & bits
 
 
-@dataclass(frozen=True)
-class MonogamyReport:
-    """One monogamy inequality over an even-size index set."""
+class MonogamyReport(_Record):
+    """One monogamy inequality over an even-size index set; ``slack`` is lhs - rhs."""
 
-    index_set: SubsetMask
-    lhs: float
-    rhs: float
-    slack: float  # lhs - rhs
-    holds: bool
+    __slots__ = ("index_set", "lhs", "rhs", "slack", "holds")
+
+    def __init__(
+        self, index_set: SubsetMask, lhs: float, rhs: float, slack: float, holds: bool
+    ) -> None:
+        _Record.__init__(self, index_set, lhs, rhs, slack, holds)
 
 
 def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
@@ -77,14 +76,16 @@ def corollary1_scan(psi: PureState) -> list[MonogamyReport]:
     ]
 
 
-@dataclass(frozen=True)
-class DisorderReport:
-    """Even-subset versus odd-subset linear-entropy sums for an even party count."""
+class DisorderReport(_Record):
+    """Even-subset versus odd-subset linear-entropy sums for an even party count.
 
-    lhs: float
-    rhs: float
-    slack: float  # rhs - lhs
-    holds: bool
+    ``slack`` is rhs - lhs.
+    """
+
+    __slots__ = ("lhs", "rhs", "slack", "holds")
+
+    def __init__(self, lhs: float, rhs: float, slack: float, holds: bool) -> None:
+        _Record.__init__(self, lhs, rhs, slack, holds)
 
 
 def disorder_check(rho: PureState | Operator) -> DisorderReport:

@@ -248,6 +248,18 @@ class TestPurityMapCore:
         if n in expected:
             assert exact == expected[n]
 
+    def test_claim_over_more_than_the_state_cap(self):
+        # The claim is checked against 1/D alone; no shape, and so no state cap, applies.
+        dims = (1025, 1025)
+        rep = _certificate(dims, {}, 1.0, "theorem1")
+        assert rep.verdict == "inconclusive" and rep.assumed_global_purity == 1.0
+        assert [list(m.parties) for m in rep.missing_subsets] == [[0], [1]]
+        with pytest.raises(ValueError) as err:
+            _certificate(dims, {}, 2.0, "theorem1")
+        assert str(err.value) == (
+            f"global purity must lie in [1/D, 1] = [{1 / 1050625}, 1], got 2.0"
+        )
+
 
 class TestMarginalSetValidation:
     def test_holds_claimed_matrices_only(self):

@@ -137,8 +137,8 @@ COMMANDS = {
     "sample": (["sample", "--dims", "2,3", "--seed", "4"], 0,
                {"measures", "observables", "monogamy", "oracle", "compatibility"}),
     "compat": (["compat", "--marginals", "{marginals}"], 0,
-               {"monogamy", "observables", "oracle", "states"}),
-    "demo": (["demo", "eq8"], 3, {"monogamy", "observables", "oracle", "states"}),
+               {"measures", "monogamy", "observables", "oracle", "states"}),
+    "demo": (["demo", "eq8"], 3, {"measures", "monogamy", "observables", "oracle", "states"}),
 }
 
 

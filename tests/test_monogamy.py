@@ -158,7 +158,7 @@ class TestDisorder:
 
 
 class TestOneVerdictRule:
-    """Every ``holds`` and ``verdict`` is ``measures._holds`` of the slack its report prints."""
+    """Every ``holds`` and ``verdict`` is ``sums._holds`` of the slack its report prints."""
 
     # Sums near 10^4, where rhs - TOL_VERDICT would round by ulp(rhs) and the slack is exact.
     TABLE = [1.0, -4982.579342041851, -4982.579342041851, -9966.158684084703]
