@@ -8,8 +8,8 @@ with the first system's parties in front.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to call concurrently.
-Reductions over subsets run in ascending bitmask order, which keeps repeated
-runs bit-for-bit identical. Dimensions, mask fields and party indices must
+Sums over subsets are correctly rounded (``qcert.sums``), so repeated runs
+are bit-for-bit identical. Dimensions, mask fields and party indices must
 be integers (Python or numpy ints, stored as int); a bool, float or string
 raises ``TypeError`` rather than being truncated.
 """

@@ -12,7 +12,7 @@ TOL_ROUTE.
 Every subset quantity reads one complete purity table per state; only a single monogamy
 check, ``corollary1_check``, evaluates just its submasks. For a pure state the table costs
 one contraction per unbalanced pair {A, rest}, from its smaller side, and one per side of
-each balanced cut. Its sums are the ordered reductions of ``qcert.sums``.
+each balanced cut. Its sums are the correctly rounded sums of ``qcert.sums``.
 """
 
 from __future__ import annotations

@@ -88,6 +88,13 @@ class DisorderReport(_Record):
         _Record.__init__(self, lhs, rhs, slack, holds)
 
 
+def _disorder(table) -> DisorderReport:
+    """The report from ``table[bits]``, a purity table over every mask of an even party count."""
+    rhs, lhs = _split_sum((bits, 1.0 - table[bits]) for bits in range(1, len(table)))
+    slack = rhs - lhs
+    return DisorderReport(lhs, rhs, slack, _holds(slack))
+
+
 def disorder_check(rho: PureState | Operator) -> DisorderReport:
     """Check that global-plus-even-subset disorder is bounded by odd-subset disorder.
 
@@ -98,7 +105,4 @@ def disorder_check(rho: PureState | Operator) -> DisorderReport:
     """
     if rho.shape.n_parties % 2 == 1:
         raise ValueError("disorder relation requires an even party count")
-    table = purity_table(rho)
-    rhs, lhs = _split_sum((bits, 1.0 - table[bits]) for bits in range(1, len(table)))
-    slack = rhs - lhs
-    return DisorderReport(lhs, rhs, slack, _holds(slack))
+    return _disorder(purity_table(rho))

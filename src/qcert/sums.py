@@ -1,32 +1,28 @@
-"""The ordered sums over ``(mask, value)`` terms and the one verdict rule.
+"""The correctly rounded sums over ``(mask, value)`` terms and the one verdict rule.
 
 Every paper sum (E by partitions or by subset sum, the certificate's alternating sum, the
-monogamy and disorder reports) adds its terms one at a time in the order given, through
-``_split_sum`` or ``_signed_sum``. Every verdict is ``_holds`` of the slack its report prints.
+monogamy and disorder reports) is ``math.fsum`` of its terms, the exact sum rounded once in any
+order, through ``_split_sum`` or ``_signed_sum``. Every verdict is ``_holds`` of its slack.
 """
 
 from __future__ import annotations
+
+import math
 
 from .config import TOL_VERDICT
 
 
 def _split_sum(terms) -> tuple[float, float]:
-    """Sums of the ``(mask, value)`` terms of odd and of even mask size, in order."""
-    odd = even = 0.0
+    """Correctly rounded sums of the ``(mask, value)`` terms of odd and of even mask size."""
+    odd, even = [], []
     for bits, value in terms:
-        if bits.bit_count() & 1:
-            odd += value
-        else:
-            even += value
-    return odd, even
+        (odd if bits.bit_count() & 1 else even).append(value)
+    return math.fsum(odd), math.fsum(even)
 
 
 def _signed_sum(terms) -> float:
-    """Sum of the ``(mask, value)`` terms, negated for an even mask size, in order."""
-    total = 0.0
-    for bits, value in terms:
-        total += value if bits.bit_count() & 1 else -value
-    return total
+    """Correctly rounded sum of the ``(mask, value)`` terms, negated for an even mask size."""
+    return math.fsum(value if bits.bit_count() & 1 else -value for bits, value in terms)
 
 
 def _holds(slack: float) -> bool:

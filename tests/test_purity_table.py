@@ -5,8 +5,9 @@ of ``measure_all``, its partition and subset-sum routes, ``corollary1_check``
 and ``disorder_check`` ran before every subset quantity read one table, the
 certificate's own signed loop, and the swap contraction ``expectation_pure``
 ran before it became one pass of the pair-projector kernel. The table
-and the two ordered reductions over it must give the same floats bit for
-bit, since they keep the accumulation order. The package's partition
+and the two sums over it must give the same floats bit for bit: each
+reference sums its own terms with ``math.fsum``, which rounds the exact sum
+once, so the order of the terms does not matter. The package's partition
 route is reached through ``measure_all``, which has no per-route wrapper.
 The partition reference walks its own enumerator of the bipartitions, so it
 shares no code with the package.
@@ -18,6 +19,7 @@ explicit loop over submasks rather than by a butterfly.
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -120,51 +122,40 @@ def ref_bipartitions(n: int) -> list[tuple[SubsetMask, str]]:
 def ref_E_partitions(psi: PureState) -> float:
     n = psi.shape.n_parties
     s_global = 1.0 - marginal_purity(psi, psi.shape.full_mask())
-    total = 0.0
+    terms = []
     for block, partition_class in ref_bipartitions(n):
         s = (
             (1.0 - marginal_purity(psi, block))
             + (1.0 - marginal_purity(psi, block.complement()))
             - s_global
         )
-        total += s if partition_class == "P_I" else -s
-    return total
+        terms.append(s if partition_class == "P_I" else -s)
+    return math.fsum(terms)
 
 
 def ref_E_subset_sum(psi: PureState) -> float:
-    odd = even = 0.0
+    odd, even = [], []
     for mask, p in ref_subset_purities(psi).items():
-        if mask.is_odd:
-            odd += p
-        else:
-            even += p
-    return 2.0 - odd + even
+        (odd if mask.is_odd else even).append(p)
+    return 2.0 - math.fsum(odd) + math.fsum(even)
 
 
 def ref_corollary1(psi: PureState, index_set: SubsetMask) -> tuple[float, float]:
     n = psi.shape.n_parties
-    lhs = rhs = 0.0
+    lhs, rhs = [], []
     for bits in _submasks(index_set.bits):
         sub = SubsetMask(bits, n)
-        c2 = i_concurrence_sq(psi, sub)
-        if sub.is_odd:
-            lhs += c2
-        else:
-            rhs += c2
-    return lhs, rhs
+        (lhs if sub.is_odd else rhs).append(i_concurrence_sq(psi, sub))
+    return math.fsum(lhs), math.fsum(rhs)
 
 
 def ref_disorder(rho: Operator) -> tuple[float, float]:
     n = rho.shape.n_parties
-    lhs = rhs = 0.0
+    lhs, rhs = [], []
     for bits in range(1, 1 << n):
         sub = SubsetMask(bits, n)
-        d = 1.0 - purity(partial_trace(rho, sub))
-        if sub.is_odd:
-            rhs += d
-        else:
-            lhs += d
-    return lhs, rhs
+        (rhs if sub.is_odd else lhs).append(1.0 - purity(partial_trace(rho, sub)))
+    return math.fsum(lhs), math.fsum(rhs)
 
 
 def ref_certificate(marginals: MarginalSet, claimed_purity: float | None):
@@ -181,9 +172,7 @@ def ref_certificate(marginals: MarginalSet, claimed_purity: float | None):
         global_purity = claimed_purity
     if any(m not in purities for m in needed):
         return None, None, None
-    lhs_proper = 0.0
-    for mask in needed:
-        lhs_proper += purities[mask] if mask.is_odd else -purities[mask]
+    lhs_proper = math.fsum(purities[m] if m.is_odd else -purities[m] for m in needed)
     full_sign = 1.0 if n % 2 == 1 else -1.0
     lhs = lhs_proper + full_sign * global_purity
     return lhs, lhs_proper, 1.0 - lhs

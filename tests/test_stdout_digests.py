@@ -4,9 +4,10 @@ Some jobs pin an error document or the empty stdout of ``sample --out``.
 
 The inputs are small seeded states written with the package's own writer,
 each with D <= 64, so no BLAS reduction is split across threads and the
-bytes do not depend on the thread count. A refactor of the sums behind the
-reports must leave every digest as it is: the default output is meant to
-stay byte-identical.
+bytes do not depend on the thread count. Every sum behind the reports is
+correctly rounded, so its bytes do not depend on the order of its terms
+either. A refactor must leave every digest as it is: the default output is
+meant to stay byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ NOT_DENSITY_MARGINAL = Operator(SpaceShape((2,)), np.diag([1.1, -0.1]))
 JOBS = {
     "measure-even": (
         ("measure", "--state", "{even}", "--route", "all"), 0,
-        "a9780a2c178d585391d6fb3c02b02b7e391071612b9d3830d38bb38d22f41ff3"),
+        "337205d7f168e5bb77da15a80d7c7850eb5c2c335666cebb456ad672d0b26fd4"),
     "measure-odd": (
         ("measure", "--state", "{odd}", "--route", "all"), 0,
         "19020b9eda952a8238a44148fb03b9d10f776c260b5f9cb8932d4027788ebab1"),
@@ -55,7 +56,7 @@ JOBS = {
         "f061ed14ff1a991d5b0196e103e82c625277143e127bd472b68dc557a8bb0041"),
     "measure-route-subset-sum-even": (
         ("measure", "--state", "{even}", "--route", "subset-sum"), 0,
-        "55fb0ee33e0187afd861bd55281d58a6d41c70249ca4fdd76d214980f17d11b9"),
+        "9366727c06320867fcdf3326db96285d2ea7633690429073f63db99891a9774e"),
     "measure-route-projector-even": (
         ("measure", "--state", "{even}", "--route", "projector"), 0,
         "a846c8546ea3fadb0723998447b075714540cde23050386c62e75983f7eaeec5"),
@@ -82,19 +83,19 @@ JOBS = {
         "3f30e16c5681661736b6be3a3ba1ac9b79f99eb3990f45e07545ac0031603175"),
     "monogamy": (
         ("monogamy", "--state", "{even}"), 0,
-        "1074844866287c1f5398492819c2f622bc430822410b3e33297b13eb51ca11a0"),
+        "4832a17fca39d98f22484c241f91f41c7658b5aec87288dfd483c169a820a594"),
     "disorder-pure": (
         ("disorder", "--state", "{even}"), 0,
-        "14c494281e432eda0c53d63b189d75479c5467338c6f65fe7f47818743a15b05"),
+        "5d7af604b8d72f8de379ce730a1ff84fa5dd17051991796f52216dcf9075bf83"),
     "disorder-mixed": (
         ("disorder", "--state", "{mixed}"), 0,
         "d273a1cf2e9ea82272df1d8b5143f26bbfb48e92a0457cac9c8c84168d10ea1d"),
     "compat-full": (
         ("compat", "--marginals", "{full}"), 0,
-        "d78db08ebb2fb65e39449b4f5715ab746e771b0c4774fbbc701255c011c323e6"),
+        "ecd37fec284ef6ffe8e6724abae473d51214526299ea8900c0f001eadcb8ee10"),
     "compat-pure": (
         ("compat", "--marginals", "{full}", "--pure"), 0,
-        "6b282143e1489d5adaab47d060c89f6260ed34b04c0485d1b2e08ccc710e6350"),
+        "a3c8c510b930293a4611a0f404835508bd2aa6861b12e92bcc41ad58c5fcb805"),
     "compat-missing": (
         ("compat", "--marginals", "{missing}"), 4,
         "6e6e0a4e5eeaf69168396749bd400928ecc72f7cba878d4dc11dd5e4bb50f41c"),
@@ -124,7 +125,7 @@ JOBS = {
         "56aea5dc2567408ce34dc5cafb9cbe6be12a42d10744f93564e368a25acc8f29"),
     "compat-mismatch": (  # 12 consistency violations, in (size, mask) order
         ("compat", "--marginals", "{mismatch}"), 0,
-        "66dbb167e29fbaf414ecf8daa92dca293f9caaee6f30b7cb7ca985367dad9365"),
+        "63edcd2b3632888692aed141f1ae7f284c27667ed315f0862ab16addc3e848ce"),
     "compat-global-purity-string": (
         ("compat", "--marginals", "{global_purity_string}"), 2,
         "46a1f2d6593bfa5d623ed9734259a8c4a5a6b4a9387b2b0ca575b6a38c7429af"),
