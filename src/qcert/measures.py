@@ -93,7 +93,7 @@ def _e_partitions(table: list[float]) -> float:
 
 
 def _e_subset_sum(table: list[float]) -> float:
-    odd, even = _split_sum((bits, table[bits]) for bits in range(1, len(table) - 1))
+    odd, even = _split_sum(range(1, len(table) - 1), table.__getitem__)
     return 2.0 - odd + even
 
 

@@ -40,8 +40,8 @@ def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
     """The report from ``table[bits]``, which needs only the submasks of the index set."""
     full = (1 << index_set.n_parties) - 1
     lhs, rhs = _split_sum(
-        (bits, 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits]))
-        for bits in _submasks(index_set.bits)
+        _submasks(index_set.bits),
+        lambda bits: 0.0 if bits == 0 or bits == full else 2.0 * (1.0 - table[bits]),
     )
     slack = lhs - rhs
     return MonogamyReport(index_set, lhs, rhs, slack, _holds(slack))
@@ -90,7 +90,7 @@ class DisorderReport(_Record):
 
 def _disorder(table) -> DisorderReport:
     """The report from ``table[bits]``, a purity table over every mask of an even party count."""
-    rhs, lhs = _split_sum((bits, 1.0 - table[bits]) for bits in range(1, len(table)))
+    rhs, lhs = _split_sum(range(1, len(table)), lambda bits: 1.0 - table[bits])
     slack = rhs - lhs
     return DisorderReport(lhs, rhs, slack, _holds(slack))
 

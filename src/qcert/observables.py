@@ -3,19 +3,24 @@
 Doubled-space layout is copy-major: all N parties of copy 1 first, then all
 N parties of copy 2, so the projector pair for party i acts on tensor factor
 positions (i, N+i). The expectation is evaluated by applying the per-party
-(I +- SWAP) contractions directly to the doubled vector, between two buffers
-of D^2 entries, and scaling the result once by 2^-N. No D^2 x D^2 operator is
-built; the tests hold the one explicit observable, as an audit route that
-shares no code with this kernel, and the mixed two-copy route.
+(I +- SWAP) contractions directly to the doubled vector and scaling its sum
+once by 2^-N. No D^2 x D^2 operator is built; the tests hold the one explicit
+observable, as an audit route that shares no code with this kernel, and the
+mixed two-copy route.
 
 An antisymmetric step writes x - x = +0.0 wherever its party has the same
 index on both copies (x is finite: ``PureState`` checks its amplitudes), and
 every later step keeps those entries at +0.0, since +0.0 + +0.0 and
-+0.0 - +0.0 are +0.0. So an antisymmetric step on a qubit runs only on the
-live region, the entries where that qubit differs between the copies, and
-writes +0.0 on the entries it drops: each such step halves the region. Every
-entry in the region gets the same ufunc operation as in a full pass, so the
-output is the same to the bit.
++0.0 - +0.0 are +0.0. So the kernel holds only the live region, the entries
+where every antisymmetric qubit differs between the copies: each
+antisymmetric step on a qubit halves it, and a step allocates at most its own
+output. Every entry in the region gets the same ufunc operation as in a full
+pass, so it holds the same bits.
+
+The expectation is ``math.fsum`` of Re(conj(phi) w) over the live region, phi
+the doubled vector and w the kernel's output. A dropped entry's term is an
+exact +0.0, which changes no ``fsum`` (a zero total is +0.0), so this is the
+correctly rounded sum over all D^2 entries, whatever the BLAS thread count.
 
 A sign pattern is the ``SubsetMask`` of the parties that carry the
 antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
@@ -23,74 +28,79 @@ antisymmetric projector (I - SWAP)/2; every other party carries (I + SWAP)/2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import VECTOR_DIM_CAP
 from .hilbert import PureState, SpaceShape, SubsetMask, _check_mask
 
 
-def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims, out=None) -> np.ndarray:
-    """kron(amp_left, amp_right) shaped dims + dims: the one multiply np.kron runs for vectors.
+def _shrunk_parties(dims, pattern: SubsetMask) -> tuple[int, ...]:
+    """The qubit parties that carry the antisymmetric projector: each halves the live region."""
+    return tuple(i for i, d in enumerate(dims) if d == 2 and pattern.contains(i))
 
-    With ``out``, a C-contiguous array of D^2 entries, the product is written there.
+
+def _doubled_tensor(amp_left: np.ndarray, amp_right: np.ndarray, dims, shrunk=()) -> np.ndarray:
+    """kron(amp_left, amp_right) shaped dims + dims, on the live region of the ``shrunk`` qubits.
+
+    Each entry is amp_left[x] * amp_right[y], the one multiply np.kron runs for
+    vectors. Axis i is party i's copy-1 index; then come the copy-2 axes of the
+    parties not in ``shrunk``. A party in ``shrunk`` keeps the anti-diagonal of
+    its axis pair alone: at index k of axis i, x_i = k and y_i = 1 - k.
     """
-    grid = None if out is None else out.reshape(len(amp_left), len(amp_right))
-    return np.multiply(amp_left[:, None], amp_right[None, :], out=grid).reshape(dims + dims)
+    n = len(dims)
+    kept = tuple(i for i in range(n) if i not in shrunk)
+    left = amp_left.reshape(dims + (1,) * len(kept))
+    right = np.flip(amp_right.reshape(dims), shrunk).transpose(shrunk + kept)
+    right = right.reshape(
+        tuple(dims[i] if i in shrunk else 1 for i in range(n)) + tuple(dims[i] for i in kept)
+    )
+    return np.multiply(left, right)
 
 
 def _apply_pair_projectors(
-    tensor: np.ndarray, spare: np.ndarray, pattern: SubsetMask
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply (I +- SWAP) for every party; return (result, other buffer).
+    amp_left: np.ndarray, amp_right: np.ndarray, dims, pattern: SubsetMask
+) -> np.ndarray:
+    """Apply (I +- SWAP) for every party to kron(amp_left, amp_right); return the live region.
 
-    ``tensor`` holds the doubled tensor, and ``spare`` is a C-contiguous buffer
-    of its shape and dtype whose contents are ignored. Each step is
-    work -+ swapped, written into the other buffer; both are overwritten, and
-    the result is one of them. It is 2^N times the pair projectors applied;
-    the caller scales its sum once by 2^-N. Scaling by a power of two commutes
-    with rounding, so that gives the bits of a 0.5 per step unless an
+    The result has the layout of ``_doubled_tensor`` on
+    ``_shrunk_parties(dims, pattern)``. It is 2^N times the pair projectors
+    applied; the caller scales its sum once by 2^-N. Scaling by a power of two
+    commutes with rounding, so that gives the bits of a 0.5 per step unless an
     intermediate is subnormal (|x| < 2.2e-308).
 
-    Each step runs on the live region, one strided view of each buffer with
-    the same shape, strides and byte offset. An antisymmetric step on a qubit
-    party first shrinks it, at any size: the party's axis pair becomes its
-    anti-diagonal (0,1), (1,0), one axis of stride s_x - s_y, so the party's
-    copy-2 axis leaves the view and the swapped operand is that axis
-    reversed. On the diagonal it drops, a full pass writes x - x = +0.0; the
-    buffer that ends as the result gets that +0.0 written there instead, and
-    no later step touches it. So the result holds the bits of a full pass;
-    the other buffer's contents are not part of it. Qudit parties and
-    symmetric steps keep their full step on the region.
+    An antisymmetric step on a qubit party reads the anti-diagonal (0,1),
+    (1,0) of the party's axis pair alone: one axis of stride s_x - s_y, so the
+    party's copy-2 axis leaves the view and the swapped operand is that axis
+    reversed. When party 0 takes such a step, the doubled tensor is formed on
+    that anti-diagonal only, and the step runs in place on it, with one
+    quarter of D^2 entries spare. Every other step writes a new C-contiguous
+    array. Qudit parties and symmetric steps keep their full step on the
+    region.
     """
-    n = pattern.n_parties
-    dims = tensor.shape[:n]
-    src, dst = tensor, spare
-    live_src, live_dst = tensor, spare
-    offset, shrunk = 0, 0
+    n = len(dims)
+    shrunk = _shrunk_parties(dims, pattern)
+    work = _doubled_tensor(amp_left, amp_right, dims, shrunk[:1] if 0 in shrunk else ())
     for i in range(n):
-        j = n + i - shrunk  # party i's copy-2 axis in the live views
-        minus = pattern.contains(i)
-        op = np.subtract if minus else np.add
-        if minus and dims[i] == 2:
-            shape = live_src.shape[:j] + live_src.shape[j + 1 :]
-            strides = list(live_src.strides)
+        op = np.subtract if pattern.contains(i) else np.add
+        j = n + i - sum(s < i for s in shrunk)  # party i's copy-2 axis in ``work``
+        if i == 0 and i in shrunk:
+            # ``work`` holds party 0's anti-diagonal already; reversing axis 0 swaps its halves.
+            head = work[:1] - work[1:]
+            np.subtract(work[1:], work[:1], out=work[1:])
+            work[:1] = head
+            del head
+        elif i in shrunk:
+            strides = list(work.strides)
             s_y = strides.pop(j)
-            s_x = strides[i]
-            # Step n - 1 writes the result, so step i reads it when n - i is even.
-            result = src if (n - i) % 2 == 0 else dst
-            strides[i] = s_x + s_y
-            np.ndarray(shape, result.dtype, result, offset, strides)[...] = 0
-            strides[i] = s_x - s_y
-            offset += s_y
-            live_src = np.ndarray(shape, src.dtype, src, offset, strides)
-            live_dst = np.ndarray(shape, dst.dtype, dst, offset, strides)
-            op(live_src, np.flip(live_src, i), out=live_dst)
-            shrunk += 1
+            strides[i] -= s_y
+            shape = work.shape[:j] + work.shape[j + 1 :]
+            work = np.ndarray(shape, work.dtype, work, s_y, strides)
+            work = op(work, np.flip(work, i), order="C")
         else:
-            op(live_src, np.swapaxes(live_src, i, j), out=live_dst)
-        src, dst = dst, src
-        live_src, live_dst = live_dst, live_src
-    return src, dst
+            work = op(work, np.swapaxes(work, i, j), order="C")
+    return work
 
 
 def _doubled_fits(shape: SpaceShape) -> bool:
@@ -99,7 +109,7 @@ def _doubled_fits(shape: SpaceShape) -> bool:
 
 
 def expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
-    """<psi x psi| A_pattern |psi x psi>, one kernel pass over the doubled vector."""
+    """<psi x psi| A_pattern |psi x psi>, one kernel pass over the live region."""
     _check_mask(psi.shape, pattern)
     if not _doubled_fits(psi.shape):
         d = psi.shape.total_dim
@@ -107,7 +117,7 @@ def expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
             f"doubled vector of length {d * d} exceeds the state cap {VECTOR_DIM_CAP}"
         )
     amp, dims = psi.amplitudes, psi.shape.dims
-    tensor = _doubled_tensor(amp, amp, dims)
-    work, free = _apply_pair_projectors(tensor, np.empty_like(tensor), pattern)
-    phi = _doubled_tensor(amp, amp, dims, out=free)
-    return float(np.vdot(phi, work).real) * 0.5 ** len(dims)
+    work = _apply_pair_projectors(amp, amp, dims, pattern)
+    phi = _doubled_tensor(amp, amp, dims, _shrunk_parties(dims, pattern))
+    terms = phi.real * work.real + phi.imag * work.imag
+    return math.fsum(terms.flat) * 0.5 ** len(dims)

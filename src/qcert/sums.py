@@ -1,4 +1,4 @@
-"""The correctly rounded sums over ``(mask, value)`` terms and the one verdict rule.
+"""The correctly rounded sums over subset masks and the one verdict rule.
 
 Every paper sum (E by partitions or by subset sum, the certificate's alternating sum, the
 monogamy and disorder reports) is ``math.fsum`` of its terms, the exact sum rounded once in any
@@ -12,12 +12,16 @@ import math
 from .config import TOL_VERDICT
 
 
-def _split_sum(terms) -> tuple[float, float]:
-    """Correctly rounded sums of the ``(mask, value)`` terms of odd and of even mask size."""
-    odd, even = [], []
-    for bits, value in terms:
-        (odd if bits.bit_count() & 1 else even).append(value)
-    return math.fsum(odd), math.fsum(even)
+def _split_sum(masks, value) -> tuple[float, float]:
+    """Correctly rounded sums of ``value(bits)`` over the ``masks`` of odd and of even size.
+
+    ``masks`` is walked once per parity, each walk feeding its own ``math.fsum``, so
+    neither sum holds its terms.
+    """
+    return (
+        math.fsum(value(bits) for bits in masks if bits.bit_count() & 1),
+        math.fsum(value(bits) for bits in masks if not bits.bit_count() & 1),
+    )
 
 
 def _signed_sum(terms) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -16,6 +18,7 @@ from qcert import (
     corollary1_scan,
     disorder_check,
     ghz_state,
+    normal_stream,
     partial_trace,
     product_state,
     purity,
@@ -150,6 +153,18 @@ class TestDisorder:
         rep = disorder_check(rho)
         cert = self_check(rho)
         assert abs(rep.slack - (1.0 - cert.lhs)) < 1e-9
+
+    def test_sums_hold_no_terms(self):
+        # 2^16 table entries: two lists of the terms would take about 2 MiB.
+        table = normal_stream(3, 1 << 16).tolist()
+        monogamy._disorder(table)
+        tracemalloc.start()
+        try:
+            monogamy._disorder(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_odd_party_count(self):
         rho = random_mixed(SpaceShape((2, 2, 2)), 3, 0)

@@ -186,7 +186,7 @@ def ref_expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
     for i in range(n):
         swapped = np.swapaxes(work, i, n + i)
         work = 0.5 * (work - swapped) if pattern.contains(i) else 0.5 * (work + swapped)
-    return float(np.vdot(phi, work).real)
+    return math.fsum((phi.real * work.real + phi.imag * work.imag).flat)
 
 
 # --- the reference enumerator ------------------------------------------------

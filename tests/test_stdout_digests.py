@@ -47,7 +47,7 @@ JOBS = {
         "337205d7f168e5bb77da15a80d7c7850eb5c2c335666cebb456ad672d0b26fd4"),
     "measure-odd": (
         ("measure", "--state", "{odd}", "--route", "all"), 0,
-        "19020b9eda952a8238a44148fb03b9d10f776c260b5f9cb8932d4027788ebab1"),
+        "debcb3795cae2f110e5a22eeaf2f14c3cd2960dab2fa6fb6b5eb5683cec0c034"),
     "measure-qudits-oracle": (
         ("measure", "--state", "{qudits}", "--route", "all"), 0,
         "7ba52a13e046fddefbe24425f9f045ebf594f4b73ab21ce7397ba6f618ce73f4"),
@@ -77,7 +77,7 @@ JOBS = {
         "a0c7b9fe0e3d3e0b15670dc922a9a9cd7e1154c827edb12e6cbe47ccc5079284"),
     "measure-route-projector-odd": (
         ("measure", "--state", "{odd}", "--route", "projector"), 0,
-        "bcbd0d61b2dcaec7fa6e57679110a8eb1bf49cd5380047f93ee4b93507465c55"),
+        "47bfab36eff6ed4e4441ba971873bb90c63a43ea95a2bd77eb975ef15463aeb4"),
     "measure-route-partitions-odd": (
         ("measure", "--state", "{odd}", "--route", "partitions"), 2,
         "3f30e16c5681661736b6be3a3ba1ac9b79f99eb3990f45e07545ac0031603175"),
