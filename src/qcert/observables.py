@@ -12,10 +12,12 @@ An antisymmetric step writes x - x = +0.0 wherever its party has the same
 index on both copies (x is finite: ``PureState`` checks its amplitudes), and
 every later step keeps those entries at +0.0, since +0.0 + +0.0 and
 +0.0 - +0.0 are +0.0. So the kernel holds only the live region, the entries
-where every antisymmetric qubit differs between the copies: each
-antisymmetric step on a qubit halves it, and a step allocates at most its own
-output. Every entry in the region gets the same ufunc operation as in a full
-pass, so it holds the same bits.
+where every antisymmetric qubit differs between the copies: D^2 / 2^k entries
+for k such qubits. No step reads outside it, since a swap on any other party
+keeps each such qubit's pair of indices, and the swap on such a qubit
+exchanges its (0,1) and (1,0). So the products are formed on the region
+alone, and every entry there gets the same ufunc operations as in a full
+pass: it holds the same bits.
 
 The expectation is ``math.fsum`` of Re(conj(phi) w) over the live region, phi
 the doubled vector and w the kernel's output. A dropped entry's term is an
@@ -65,40 +67,24 @@ def _apply_pair_projectors(
     """Apply (I +- SWAP) for every party to kron(amp_left, amp_right); return the live region.
 
     The result has the layout of ``_doubled_tensor`` on
-    ``_shrunk_parties(dims, pattern)``. It is 2^N times the pair projectors
-    applied; the caller scales its sum once by 2^-N. Scaling by a power of two
-    commutes with rounding, so that gives the bits of a 0.5 per step unless an
-    intermediate is subnormal (|x| < 2.2e-308).
+    ``_shrunk_parties(dims, pattern)``, where the kernel starts. It is 2^N
+    times the pair projectors applied; the caller scales its sum once by
+    2^-N. Scaling by a power of two commutes with rounding, so that gives the
+    bits of a 0.5 per step unless an intermediate is subnormal (|x| < 2.2e-308).
 
-    An antisymmetric step on a qubit party reads the anti-diagonal (0,1),
-    (1,0) of the party's axis pair alone: one axis of stride s_x - s_y, so the
-    party's copy-2 axis leaves the view and the swapped operand is that axis
-    reversed. When party 0 takes such a step, the doubled tensor is formed on
-    that anti-diagonal only, and the step runs in place on it, with one
-    quarter of D^2 entries spare. Every other step writes a new C-contiguous
-    array. Qudit parties and symmetric steps keep their full step on the
-    region.
+    On the region, the swap on a party in ``shrunk`` reverses its one axis,
+    and the swap on any other party exchanges its two axes. Each step writes
+    a new C-contiguous array of the region's size.
     """
     n = len(dims)
     shrunk = _shrunk_parties(dims, pattern)
-    work = _doubled_tensor(amp_left, amp_right, dims, shrunk[:1] if 0 in shrunk else ())
+    work = _doubled_tensor(amp_left, amp_right, dims, shrunk)
     for i in range(n):
         op = np.subtract if pattern.contains(i) else np.add
-        j = n + i - sum(s < i for s in shrunk)  # party i's copy-2 axis in ``work``
-        if i == 0 and i in shrunk:
-            # ``work`` holds party 0's anti-diagonal already; reversing axis 0 swaps its halves.
-            head = work[:1] - work[1:]
-            np.subtract(work[1:], work[:1], out=work[1:])
-            work[:1] = head
-            del head
-        elif i in shrunk:
-            strides = list(work.strides)
-            s_y = strides.pop(j)
-            strides[i] -= s_y
-            shape = work.shape[:j] + work.shape[j + 1 :]
-            work = np.ndarray(shape, work.dtype, work, s_y, strides)
+        if i in shrunk:
             work = op(work, np.flip(work, i), order="C")
         else:
+            j = n + i - sum(s < i for s in shrunk)  # party i's copy-2 axis in ``work``
             work = op(work, np.swapaxes(work, i, j), order="C")
     return work
 
@@ -118,6 +104,11 @@ def expectation_pure(psi: PureState, pattern: SubsetMask) -> float:
         )
     amp, dims = psi.amplitudes, psi.shape.dims
     work = _apply_pair_projectors(amp, amp, dims, pattern)
+    # Formed after the kernel, so that no more than two region-sized arrays are alive at once.
     phi = _doubled_tensor(amp, amp, dims, _shrunk_parties(dims, pattern))
-    terms = phi.real * work.real + phi.imag * work.imag
-    return math.fsum(terms.flat) * 0.5 ** len(dims)
+    terms = phi.real
+    np.multiply(terms, work.real, out=terms)
+    np.multiply(phi.imag, work.imag, out=phi.imag)
+    np.add(terms, phi.imag, out=terms)
+    # ``phi`` fills one block in some axis order, so this flat view of ``terms`` copies nothing.
+    return math.fsum(memoryview(phi.ravel("K").real)) * 0.5 ** len(dims)

@@ -8,16 +8,19 @@ order, through ``_split_sum`` or ``_signed_sum``. Every verdict is ``_holds`` of
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 
 from .config import TOL_VERDICT
 
 
-def _split_sum(masks, value) -> tuple[float, float]:
+def _split_sum(masks: Sequence[int], value) -> tuple[float, float]:
     """Correctly rounded sums of ``value(bits)`` over the ``masks`` of odd and of even size.
 
     ``masks`` is walked once per parity, each walk feeding its own ``math.fsum``, so
-    neither sum holds its terms.
+    neither sum holds its terms; a one-pass iterator would leave the even sum empty.
     """
+    if isinstance(masks, Iterator):
+        raise TypeError("_split_sum walks masks twice; pass a sequence such as a range")
     return (
         math.fsum(value(bits) for bits in masks if bits.bit_count() & 1),
         math.fsum(value(bits) for bits in masks if not bits.bit_count() & 1),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from conftest import SETTINGS, kron, marginal_set, mask, seeds, shapes
-from qcert import compatibility, measures, monogamy
+from qcert import compatibility, measures, monogamy, sums
 from qcert.compatibility import VERDICT_CONSISTENT, VERDICT_INCOMPATIBLE
 from qcert.config import TOL_VERDICT
 from qcert import (
@@ -165,6 +165,11 @@ class TestDisorder:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_split_sum_refuses_a_one_pass_iterator(self):
+        with pytest.raises(TypeError, match="sequence"):
+            sums._split_sum(iter(range(1, 4)), float)
+        assert sums._split_sum(range(1, 4), float) == (1.0 + 2.0, 3.0)
 
     def test_rejects_odd_party_count(self):
         rho = random_mixed(SpaceShape((2, 2, 2)), 3, 0)

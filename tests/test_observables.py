@@ -271,20 +271,29 @@ class TestKernelBits:
         assert_same_entries(kernel_output(left, right, dims, pattern), ref)
 
 
+def traced_peak(psi, pattern) -> int:
+    """Peak bytes that ``tracemalloc`` sees during one ``expectation_pure`` call."""
+    expectation_pure(psi, pattern)  # keeps one-time allocations out of the peak
+    tracemalloc.start()
+    try:
+        expectation_pure(psi, pattern)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 class TestKernelMemory:
-    def test_peak_is_under_one_doubled_buffer(self):
-        # Party 0's step runs in place on half the products, with a quarter spare.
+    def test_full_pattern_peak_is_under_sixteen_state_vectors(self):
+        # Ten antisymmetric qubits leave D of the D^2 entries live.
         psi = random_pure(SpaceShape((2,) * 10), 7)
-        full = psi.shape.full_mask()
-        expectation_pure(psi, full)  # keeps one-time allocations out of the peak
-        tracemalloc.start()
-        try:
-            expectation_pure(psi, full)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        assert traced_peak(psi, psi.shape.full_mask()) < 16 * 16 * psi.shape.total_dim
+
+    def test_qudit_peak_is_under_two_and_a_quarter_doubled_buffers(self):
+        # No qubit shrinks the region: a step's input and output, then phi and w.
+        psi = random_pure(SpaceShape((3,) * 6), 7)
         doubled_buffer = 16 * psi.shape.total_dim**2
-        assert peak < doubled_buffer
+        assert traced_peak(psi, psi.shape.full_mask()) < 2.25 * doubled_buffer
 
 
 # A final np.vdot over D^2 entries gave this state different last digits under 1 and 2 threads.
@@ -294,13 +303,18 @@ psi = random_pure(SpaceShape((2,) * 8), 0)
 print(repr(expectation_pure(psi, psi.shape.full_mask())))
 """
 
+# The thread-count variables of OpenBLAS, MKL, Accelerate and OpenMP.
+THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "OMP_NUM_THREADS"
+)
+
 
 class TestThreadCount:
     def test_value_does_not_depend_on_the_blas_thread_count(self):
         src = str(Path(qcert.__file__).parents[1])
         values = []
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(THREAD_VARIABLES, threads))
             proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], capture_output=True,
                                   text=True, env=env, timeout=120, check=True)
             values.append(proc.stdout)
