@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -339,6 +341,31 @@ os._exit = report
 sys.argv = ["qcert", *sys.argv[1:]]
 runpy.run_module("qcert.cli", run_name="__main__")
 """
+
+
+def pin_writer(monkeypatch, forked: bool, rule_out: str = "one-cpu") -> list:
+    """Make ``dumps`` to a file take the two-process path, or rule the fork out.
+
+    ``forked``: the platform reads as Linux with two usable CPUs, and each
+    ``os.fork`` is counted in the list returned. Otherwise the fork is ruled
+    out by ``rule_out``, one usable CPU or a platform other than Linux, and
+    ``os.fork`` raises if it is called.
+    """
+    forks: list = []
+    real_fork = os.fork
+
+    def fork():
+        if not forked:
+            raise AssertionError("os.fork called where the fork is ruled out")
+        forks.append(1)
+        return real_fork()
+
+    cpus = 1 if not forked and rule_out == "one-cpu" else 2
+    platform = "darwin" if not forked and rule_out == "not-linux" else "linux"
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 def run_cli(capsys, *argv):

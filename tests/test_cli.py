@@ -9,7 +9,9 @@ import gc
 import importlib
 import json
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import error_message, exit_probe, marginal_set, run_cli, traced_peak
+from conftest import (
+    error_message,
+    exit_probe,
+    marginal_set,
+    pin_writer,
+    run_cli,
+    traced_peak,
+)
 from test_stdout_digests import STATES as DIGEST_STATES
 from qcert import (
     Operator,
@@ -1025,6 +1034,100 @@ class TestProcessExit:
         assert proc.returncode == 2
         reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert proc.stderr.decode() == f"qcert: cannot write to stdout: {reason}\n"
+
+
+SIXTEEN_QUBITS = ",".join(["2"] * 16)  # 131 072 floats, past the fork threshold
+
+
+def usable_cpus(count: int):
+    """A ``preexec_fn`` step that leaves the child ``count`` of this process's CPUs."""
+    cpus = sorted(os.sched_getaffinity(0))[:count]
+    return lambda: os.sched_setaffinity(0, cpus)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the two-process write runs on Linux only")
+class TestTwoProcessWrite:
+    """``sample --out`` of a large payload: a forked child writes the first half."""
+
+    def test_leaves_no_child_and_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        forks = pin_writer(monkeypatch, True)
+        out = tmp_path / "psi.json"
+        assert run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS, "--out", str(out)) == (0, "")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failure", ["errno", "signal"])
+    def test_child_failure_is_the_commands_error(self, tmp_path, capsys, monkeypatch, failure):
+        pin_writer(monkeypatch, True)
+        parent, real_write = os.getpid(), os.write
+
+        def write(fd, data):  # fails in the forked child only
+            if os.getpid() != parent:
+                if failure == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        out = tmp_path / "psi.json"
+        message = error_message(*run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS,
+                                         "--out", str(out)))
+        assert message == {
+            "errno": f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}",
+            "signal": "the process writing the first half of the file ended with status -9",
+        }[failure]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-processes", "one-cpu"])
+    def test_failed_write_exits_2_with_the_errno(self, tmp_path, cpus):
+        if len(os.sched_getaffinity(0)) < cpus:
+            pytest.skip("fewer usable CPUs than the path needs")
+        pin_cpus = usable_cpus(cpus)
+
+        def limits():
+            # About 3.4 MB are due; the first half's writes fail past 100 KB.
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            pin_cpus()
+
+        path = tmp_path / "psi.json"
+        proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(path),
+                          preexec_fn=limits)
+        # run_module returns once both pipes are closed: by then every process
+        # that inherited them, a forked writer included, has exited.
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+        assert error_message(2, proc.stdout) == reason
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("forked", [True, False], ids=["two-processes", "one-cpu"])
+    def test_full_device_exits_2(self, capsys, monkeypatch, forked):
+        forks = pin_writer(monkeypatch, forked)
+        code, out = run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS, "--out", "/dev/full")
+        assert error_message(code, out) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert len(forks) == forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_fork_under_blas_threads_warns_nothing(self, tmp_path, action):
+        # Python 3.12+ warns on a fork in a process with threads, and numpy's
+        # OpenBLAS runs threads unless a thread variable pins it to one. Under
+        # "error" CPython 3.12.1 and 3.13.0 clear the raised warning after the
+        # fork, so only "always" shows a missing filter, as a line on stderr.
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the write does not fork")
+        env = child_env(False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(name, None)
+        path = tmp_path / "psi.json"
+        argv = [sys.executable, "-W", f"{action}::DeprecationWarning", "-m", "qcert.cli",
+                "sample", "--dims", SIXTEEN_QUBITS, "--out", str(path)]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert path.read_text().endswith("\n  ]\n}\n")
 
 
 class TestEntryPoint:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import error_message, marginal_set, run_cli
+from conftest import error_message, marginal_set, pin_writer, run_cli
 from qcert import (
     Operator,
     PureState,
@@ -24,6 +24,7 @@ from qcert import (
     random_mixed,
     random_pure,
 )
+from qcert import cli
 from qcert.cli import (
     _parse_pairs,
     dumps,
@@ -450,3 +451,74 @@ def test_sample_digest(capsys, argv):
     assert main(["sample", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[argv]
+
+
+# --- sample --out on the one-process and the two-process path ----------------
+
+def sample_case(dims: tuple[int, ...], rank: int | None = None, seed: int = 1):
+    """The ``sample`` arguments for a state and the state they draw."""
+    argv = ["--dims", ",".join(map(str, dims)), "--seed", str(seed)]
+    if rank is None:
+        return argv, random_pure(SpaceShape(dims), seed)
+    return [*argv, "--kind", "mixed", "--rank", str(rank)], random_mixed(
+        SpaceShape(dims), rank, seed)
+
+
+# (dims, rank or None for a pure state): their payloads in floats are 131 072,
+# 294 912, and the fork threshold, 4 less and 4 more.
+WRITE_CASES = {
+    "16-qubit-pure": ((2,) * 16, None),
+    "rank-4-mixed": ((2,) * 7 + (3,), 4),
+    "just-below": ((2, cli._FORK_FLOATS // 4 - 1), None),
+    "at-threshold": ((2, cli._FORK_FLOATS // 4), None),
+    "just-above": ((2, cli._FORK_FLOATS // 4 + 1), None),
+}
+
+
+class TestSampleOutOnBothPaths:
+    @pytest.mark.parametrize("case", sorted(WRITE_CASES))
+    @pytest.mark.parametrize("path", ["two-processes", "one-cpu", "not-linux"])
+    def test_file_is_the_text_of_dumps(self, tmp_path, capsys, monkeypatch, case, path):
+        argv, state = sample_case(*WRITE_CASES[case])
+        forks = pin_writer(monkeypatch, path == "two-processes", path)
+        out = tmp_path / "state.json"
+        assert run_cli(capsys, "sample", *argv, "--out", str(out)) == (0, "")
+        assert out.read_text() == dumps(state_file_dict(state)) + "\n"
+        floats = 2 * state.amplitudes.size if "vector" in state_file_dict(state) else (
+            2 * state.entries.size)
+        assert len(forks) == (path == "two-processes" and floats >= cli._FORK_FLOATS)
+
+    @staticmethod
+    def signed_zeros(shape: tuple[int, ...], places: list[int]) -> np.ndarray:
+        """A random complex array with a signed zero part at each flat item index of ``places``."""
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zeros = [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0), complex(0.0, -0.0)]
+        for k, place in enumerate(places):
+            a.reshape(-1)[place] = zeros[k % 4]
+        return a
+
+    @pytest.mark.parametrize("path", ["two-processes", "one-cpu"])
+    def test_negative_zeros_at_range_and_half_boundaries(self, tmp_path, monkeypatch, path):
+        # The vector's item ranges end every _RANGE_FLOATS / 2 pairs and the
+        # child's half at n / 2; the matrix's ranges end every few rows.
+        n = cli._FORK_FLOATS
+        step = cli._RANGE_FLOATS // 2
+        vector = self.signed_zeros((n,), [0, step - 1, step, n // 2 - 1, n // 2, n - 1])
+        side = 128
+        rows = cli._RANGE_FLOATS // (2 * side)
+        matrix = self.signed_zeros((side, side), [
+            0, rows * side - 1, rows * side, side * side // 2 - 1, side * side // 2,
+            side * side - 1])
+        forks = pin_writer(monkeypatch, path == "two-processes", path)
+        for key, array in (("vector", vector), ("matrix", matrix)):
+            doc = {"dims": [len(array)], "kind": "pure" if key == "vector" else "mixed",
+                   key: array}
+            out = tmp_path / f"{key}.json"
+            dumps(doc, str(out))
+            text = out.read_text()
+            assert text == ref_dumps({**doc, key: ref_pair_lists(array)}) + "\n"
+            parts = array.reshape(-1).view(float)
+            negative_zeros = int(np.signbit(parts[parts == 0]).sum())
+            assert text.count("[-0.0,") + text.count(" -0.0]") == negative_zeros == 7
+        assert len(forks) == (2 if path == "two-processes" else 0)

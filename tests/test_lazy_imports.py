@@ -168,3 +168,42 @@ def test_command_leaves_other_modules_unloaded(command, inputs):
     loaded = {name.removeprefix("qcert.") for name in loaded}
     assert not absent & loaded, f"{command} imported {sorted(absent & loaded)}"
     assert {"config", "hilbert"} <= loaded
+
+
+# Packages a command must not load beyond what numpy's import loads (numpy
+# itself imports tempfile): the two-process writer forks with os.fork.
+POOL_PACKAGES = {"multiprocessing", "concurrent", "tempfile", "subprocess"}
+# The exit code, then each of those packages loaded by the end of the command.
+# A forked writer ends with os._exit too, so a two-process ``sample --out``
+# reports twice.
+POOL_RUN = exit_probe(f'*sorted({{m.split(".")[0] for m in sys.modules}} & {POOL_PACKAGES!r})')
+
+
+@pytest.fixture(scope="module")
+def numpy_pool_packages() -> set[str]:
+    """The packages of ``POOL_PACKAGES`` that ``import numpy`` alone loads."""
+    script = ("import sys, numpy; "
+              f'print(*{{m.split(".")[0] for m in sys.modules}} & {POOL_PACKAGES!r})')
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("command", [*sorted(COMMANDS), "sample --out"])
+def test_command_loads_no_pool_temp_file_or_subprocess_package(
+        command, inputs, tmp_path, numpy_pool_packages):
+    if command == "sample --out":
+        # 131 072 floats: two processes write it where two CPUs are usable.
+        argv = ["sample", "--dims", ",".join(["2"] * 16), "--out", str(tmp_path / "psi.json")]
+    else:
+        argv = [arg.format(**inputs) for arg in COMMANDS[command][0]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", POOL_RUN, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    reports = proc.stderr.splitlines()
+    assert reports, proc.stderr
+    for line in reports:
+        code, *loaded = line.split()
+        assert int(code) == (COMMANDS[command][1] if command in COMMANDS else 0), line
+        extra = set(loaded) - numpy_pool_packages
+        assert not extra, f"{command} imported {sorted(extra)}"
