@@ -38,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from itertools import chain
 from pathlib import Path
@@ -82,20 +83,15 @@ def _format_number(x: float) -> str:
     return "-0.0" if text == "-0" else text  # "-0" would decode as the integer 0
 
 
-def _block(brackets: str, items: list[str], level: int) -> str:
-    """``items`` between ``brackets``, one per line two spaces deeper than ``level``."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (level + 1)
-    heads = [brackets[0] + pad] + ["," + pad] * (len(items) - 1)
-    return "".join([*chain.from_iterable(zip(heads, items)), "\n" + "  " * level + brackets[1]])
-
-
 def _pair_layout(shape: tuple[int, ...], level: int) -> str:
-    """The text of nested [re, im] pairs of ``shape`` at ``level``, "%.17g" per number."""
+    """Nested [re, im] pairs of ``shape`` at ``level``, one item per line, "%.17g" per number."""
     if not shape:
         return "[%.17g, %.17g]"
-    return _block("[]", [_pair_layout(shape[1:], level + 1)] * shape[0], level)
+    if not shape[0]:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    item = _pair_layout(shape[1:], level + 1)
+    return "[" + pad + item + ("," + pad + item) * (shape[0] - 1) + "\n" + "  " * level + "]"
 
 
 def _fill(layout: str, values: np.ndarray) -> str:
@@ -207,18 +203,14 @@ def _fork_split(parts: list) -> int | None:
     """How many of ``parts`` a forked child writes, or None to write them in one process.
 
     Two processes take a payload of at least ``_FORK_FLOATS`` floats, on
-    Linux, with at least two CPUs this process may run on.
+    Linux, with at least two CPUs this process may run on; the child writes
+    the parts before the middle item range.
     """
-    floats = [0 if type(part) is str else 2 * part[0][part[2]:part[3]].size for part in parts]
-    total = sum(floats)
-    if total < _FORK_FLOATS or sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
+    ranges = [k for k, part in enumerate(parts) if type(part) is not str]
+    floats = sum(2 * (parts[k][3] - parts[k][2]) * parts[k][0][0].size for k in ranges)
+    if floats < _FORK_FLOATS or sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
         return None
-    done = 0
-    for count, size in enumerate(floats):
-        if 2 * (done + size) > total:
-            return count
-        done += size
-    return len(parts)
+    return ranges[len(ranges) // 2]
 
 
 def _write_halves(fd: int, parts: list, split: int) -> None:
@@ -265,7 +257,8 @@ def dumps(obj, path: str | None = None) -> str | None:
 
     The file is written as it is formatted, one item range of a complex array
     at a time; a large payload is formatted by two processes (_write_halves).
-    The bytes are the same on every path.
+    The bytes are the same on every path. A failed write removes the file, if
+    it is a regular file (_remove_written), and raises its error.
     """
     parts: list = []
     _emit(obj, 0, parts)
@@ -273,16 +266,32 @@ def dumps(obj, path: str | None = None) -> str | None:
         return "".join(map(_text, parts))
     parts.append("\n")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    opened = None
     try:
-        split = _fork_split(parts)
-        if split is None:
-            for part in parts:
-                _write(fd, _text(part))
-        else:
-            _write_halves(fd, parts, split)
-    finally:
-        os.close(fd)
+        try:
+            opened = os.fstat(fd)
+            split = _fork_split(parts)
+            if split is None:
+                for part in parts:
+                    _write(fd, _text(part))
+            else:
+                _write_halves(fd, parts, split)
+        finally:
+            os.close(fd)
+    except BaseException:
+        _remove_written(path, opened)
+        raise
     return None
+
+
+def _remove_written(path: str, opened: os.stat_result | None) -> None:
+    """Remove ``path`` if it is still the regular file ``opened``: no device, FIFO or symlink."""
+    try:
+        now = os.lstat(path)
+        if opened is not None and stat.S_ISREG(now.st_mode) and os.path.samestat(now, opened):
+            os.unlink(path)
+    except OSError:
+        pass
 
 
 # --- state and marginal file formats ---

@@ -75,29 +75,16 @@ class CompatReport(_Record):
     ``lhs`` includes the full-set purity term (the value actually bounded by
     1); ``lhs_proper`` is the same alternating sum restricted to proper
     subsets. A "consistent" verdict only means the necessary condition holds.
+
+    Fields: theorem, dims, lhs, lhs_proper, slack, verdict, per_subset_purities, missing_subsets,
+    assumed_global_purity. The three sums are None when a subset is missing, and the assumed
+    global purity is "best-case" when it is 1 for want of a claim.
     """
 
     __slots__ = (
         "theorem", "dims", "lhs", "lhs_proper", "slack", "verdict", "per_subset_purities",
         "missing_subsets", "assumed_global_purity",
     )
-
-    def __init__(
-        self,
-        theorem: str,
-        dims: tuple[int, ...],
-        lhs: float | None,
-        lhs_proper: float | None,
-        slack: float | None,
-        verdict: str,
-        per_subset_purities: dict[SubsetMask, float],
-        missing_subsets: tuple[SubsetMask, ...],
-        assumed_global_purity: float | str,
-    ) -> None:
-        _Record.__init__(
-            self, theorem, dims, lhs, lhs_proper, slack, verdict, per_subset_purities,
-            missing_subsets, assumed_global_purity,
-        )
 
 
 def checked_global_purity(total_dim: int, g, subject: str, full: float | None = None) -> float:
@@ -178,12 +165,9 @@ def theorem2_check(
 
 
 class MarginalMismatch(_Record):
-    """A pair of provided marginals that disagree under partial trace."""
+    """Two provided marginals that disagree under partial trace: subset, superset, max_deviation."""
 
     __slots__ = ("subset", "superset", "max_deviation")
-
-    def __init__(self, subset: SubsetMask, superset: SubsetMask, max_deviation: float) -> None:
-        _Record.__init__(self, subset, superset, max_deviation)
 
 
 def consistency_precheck(marginals: MarginalSet) -> list[MarginalMismatch]:

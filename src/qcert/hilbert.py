@@ -33,14 +33,28 @@ def _index(value) -> int:
     return operator.index(value)
 
 
+def _by_name(cls, values: tuple, named: dict) -> list:
+    """A ``cls`` record's fields in slot order from positions and names, else ``TypeError``."""
+    fields, given = cls.__slots__, dict(zip(cls.__slots__, values))
+    wrong = [f"{len(values)} values given"] if len(values) > len(fields) else []
+    wrong += [f"{name!r} given twice" for name in named if name in given]
+    wrong += [f"{name!r} is not a field" for name in named if name not in fields]
+    given.update(named)
+    wrong += [f"{name!r} is missing" for name in fields if name not in given]
+    if wrong:
+        raise TypeError(f"{cls.__qualname__} takes the fields {', '.join(fields)}: "
+                        + "; ".join(wrong))
+    return [given[name] for name in fields]
+
+
 class _Record:
     """Base of the package's immutable records, with a frozen dataclass's methods.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its ``__init__`` through
-    ``object.__setattr__``; assigning or deleting one raises ``AttributeError``. ``repr``, ``==``
-    and ``hash`` read the ``shown`` fields (all by default), ``hash`` as the hash of their tuple.
-    A record ``by_identity`` keeps ``object``'s ``==`` and ``hash``. Pickle and ``copy`` carry
-    every slot and run no ``__init__``.
+    A subclass lists its fields in ``__slots__``; the constructor takes them in order, by position
+    or name, unless the subclass checks its input in its own ``__init__``. Assigning or deleting a
+    field raises ``AttributeError``. ``repr``, ``==`` and ``hash`` read the ``shown`` fields (all
+    by default), ``hash`` as the hash of their tuple. A record ``by_identity`` keeps ``object``'s
+    ``==`` and ``hash``. Pickle and ``copy`` carry every slot and run no ``__init__``.
     """
 
     __slots__ = ()
@@ -55,7 +69,9 @@ class _Record:
         if by_identity:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, *values) -> None:
+    def __init__(self, *values, **named) -> None:
+        if named or len(values) != len(self.__slots__):
+            values = _by_name(type(self), values, named)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -105,7 +121,9 @@ class SpaceShape(_Record, shown=("dims",)):
         if total > VECTOR_DIM_CAP:
             size = total if total <= _PRODUCT_BOUND else f"of {len(dims)} parties"
             raise ValueError(f"total dimension {size} exceeds the state cap {VECTOR_DIM_CAP}")
-        _Record.__init__(self, dims, total)
+        # Set directly, as in SubsetMask: a shape is built per marginal.
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", total)
 
     @property
     def n_parties(self) -> int:
@@ -261,14 +279,12 @@ def purity(rho: Operator) -> float:
 
 
 class DensityDiagnostics(_Record):
-    """Deviations of a matrix from being a density matrix; each must be within TOL_INPUT."""
+    """Deviations of a matrix from being a density matrix; each must be within TOL_INPUT.
+
+    Fields: hermiticity_deviation, trace_deviation, min_eigenvalue (floats).
+    """
 
     __slots__ = ("hermiticity_deviation", "trace_deviation", "min_eigenvalue")
-
-    def __init__(
-        self, hermiticity_deviation: float, trace_deviation: float, min_eigenvalue: float
-    ) -> None:
-        _Record.__init__(self, hermiticity_deviation, trace_deviation, min_eigenvalue)
 
     @property
     def passes(self) -> bool:

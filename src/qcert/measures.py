@@ -117,20 +117,13 @@ def i_concurrence_sq(psi: PureState, subset: SubsetMask) -> float:
 class MeasureReport(_Record):
     """Values of E by route, keyed in the order they print, plus the purities used.
 
+    Fields: dims, values, per_subset_purities: dict[SubsetMask, float] | None.
     ``values`` has the keys ``partitions``, ``projector``, ``subset_sum`` and
     ``oracle``, each None when its route did not run. ``per_subset_purities``
     is None when no route read the purity table.
     """
 
     __slots__ = ("dims", "values", "per_subset_purities")
-
-    def __init__(
-        self,
-        dims: tuple[int, ...],
-        values: dict[str, float | None],
-        per_subset_purities: dict[SubsetMask, float] | None,
-    ) -> None:
-        _Record.__init__(self, dims, values, per_subset_purities)
 
     def route_deltas(self) -> dict[str, float]:
         """|a - b| for every pair of routes with a value, keyed "a_vs_b" in name order."""

@@ -26,14 +26,12 @@ def _submasks(bits: int) -> list[int]:
 
 
 class MonogamyReport(_Record):
-    """One monogamy inequality over an even-size index set; ``slack`` is lhs - rhs."""
+    """One monogamy inequality over an even-size index set; ``slack`` is lhs - rhs.
+
+    Fields: index_set: SubsetMask, lhs, rhs, slack (floats), holds (bool).
+    """
 
     __slots__ = ("index_set", "lhs", "rhs", "slack", "holds")
-
-    def __init__(
-        self, index_set: SubsetMask, lhs: float, rhs: float, slack: float, holds: bool
-    ) -> None:
-        _Record.__init__(self, index_set, lhs, rhs, slack, holds)
 
 
 def _corollary1(table, index_set: SubsetMask) -> MonogamyReport:
@@ -79,13 +77,10 @@ def corollary1_scan(psi: PureState) -> list[MonogamyReport]:
 class DisorderReport(_Record):
     """Even-subset versus odd-subset linear-entropy sums for an even party count.
 
-    ``slack`` is rhs - lhs.
+    ``slack`` is rhs - lhs. Fields: lhs, rhs, slack (floats), holds (bool).
     """
 
     __slots__ = ("lhs", "rhs", "slack", "holds")
-
-    def __init__(self, lhs: float, rhs: float, slack: float, holds: bool) -> None:
-        _Record.__init__(self, lhs, rhs, slack, holds)
 
 
 def _disorder(table) -> DisorderReport:

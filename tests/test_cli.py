@@ -12,6 +12,7 @@ import os
 import resource
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -1128,6 +1129,90 @@ class TestTwoProcessWrite:
         proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
         assert path.read_text().endswith("\n  ]\n}\n")
+
+
+def limited_writes(cpus: int):
+    """A ``preexec_fn`` step: writes past 100 KB fail with EFBIG, on ``cpus`` CPUs."""
+    pin_cpus = usable_cpus(cpus)
+
+    def limits():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        pin_cpus()
+
+    return limits
+
+
+EFBIG_MESSAGE = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+
+
+class TestFailedOutWrite:
+    """A failed ``sample --out`` write removes the regular file it was writing, and only that."""
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-processes", "one-cpu"])
+    def test_leaves_no_partial_file(self, tmp_path, cpus):
+        if len(os.sched_getaffinity(0)) < cpus:
+            pytest.skip("fewer usable CPUs than the path needs")
+        path = tmp_path / "psi.json"
+        path.write_text("an older file\n")
+        proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(path),
+                          preexec_fn=limited_writes(cpus))
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        assert error_message(2, proc.stdout) == EFBIG_MESSAGE
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-processes", "one-cpu"])
+    def test_keeps_a_symlink_and_its_target(self, tmp_path, cpus):
+        if len(os.sched_getaffinity(0)) < cpus:
+            pytest.skip("fewer usable CPUs than the path needs")
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("")
+        link.symlink_to(target)
+        proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(link),
+                          preexec_fn=limited_writes(cpus))
+        assert error_message(proc.returncode, proc.stdout) == EFBIG_MESSAGE
+        assert os.readlink(link) == str(target)
+        assert stat.S_ISREG(os.lstat(target).st_mode)
+
+    def test_keeps_a_file_that_replaced_the_one_opened(self, tmp_path, monkeypatch):
+        pin_writer(monkeypatch, False)
+        path, moved = tmp_path / "psi.json", tmp_path / "moved.json"
+
+        def write(fd, data):  # the first write finds another file at the path
+            path.rename(moved)
+            path.write_text("another file\n")
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(OSError, match="Input/output error"):
+            dumps(state_file_dict(ghz_state(2)), str(path))
+        assert path.read_text() == "another file\n" and moved.read_text() == ""
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["two-processes", "one-cpu"])
+    def test_keeps_a_fifo(self, tmp_path, monkeypatch, forked):
+        pin_writer(monkeypatch, forked)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # A reader in another process, so that no forked writer holds the reading
+        # end: it reads a little and exits, and the next write fails.
+        reader = subprocess.Popen(
+            [sys.executable, "-c", f"open({str(fifo)!r}, 'rb').read(1000)"])
+        doc = state_file_dict(random_pure(SpaceShape((2,) * 16), 0))
+        try:
+            with pytest.raises(BrokenPipeError):
+                dumps(doc, str(fifo))
+        finally:
+            reader.kill()  # it has read and exited unless the write never began
+            reader.wait(60)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("forked", [True, False], ids=["two-processes", "one-cpu"])
+    def test_keeps_a_device(self, capsys, monkeypatch, forked):
+        pin_writer(monkeypatch, forked)
+        code, out = run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS, "--out", "/dev/full")
+        assert error_message(code, out) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert stat.S_ISCHR(os.lstat("/dev/full").st_mode)
 
 
 class TestEntryPoint:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import error_message, marginal_set, pin_writer, run_cli
+from conftest import SETTINGS, error_message, marginal_set, pin_writer, run_cli
 from qcert import (
     Operator,
     PureState,
@@ -35,7 +35,7 @@ from qcert.cli import (
     state_file_dict,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None)
+SETTINGS = settings(SETTINGS, max_examples=40)  # conftest's, with more examples
 
 HUGE = 10**400  # a 401-digit integer, beyond double range
 

@@ -79,6 +79,9 @@ RECORDS = {
     ),
 }
 BY_IDENTITY = {Operator, PureState, MarginalSet}
+# Records whose constructor only stores its fields: _Record.__init__ takes them.
+PLAIN = [DensityDiagnostics, MeasureReport, MonogamyReport, DisorderReport, CompatReport,
+         MarginalMismatch]
 UNHASHABLE = {MeasureReport, CompatReport}  # a dict field, as with the dataclasses
 CLASSES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
@@ -170,6 +173,54 @@ def test_pickle_and_copy_round_trips(cls, how):
         assert twin == record
     with pytest.raises(AttributeError):
         setattr(twin, shown[0], None)
+
+
+@CLASSES
+def test_rebuilt_by_name_from_its_own_fields(cls):
+    make, shown, hidden = RECORDS[cls]
+    record = make()
+    twin = cls(**{name: getattr(record, name) for name in reversed(shown)})
+    assert type(twin) is cls and same_fields(twin, record, (*shown, *hidden))
+    if cls not in BY_IDENTITY:
+        assert twin == record
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_plain_records_take_their_fields_in_slot_order(cls):
+    assert "__init__" not in vars(cls)
+    record = RECORDS[cls][0]()
+    fields = cls.__slots__
+    values = [getattr(record, name) for name in fields]
+    first, *rest = fields
+    mixed = cls(values[0], **dict(zip(rest, values[1:])))
+    assert same_fields(mixed, record, fields)
+    heading = f"^{cls.__name__} takes the fields {', '.join(fields)}: "
+    wrong = {
+        f"{len(fields) + 1} values given": lambda: cls(*values, None),
+        f"'{fields[-1]}' is missing": lambda: cls(*values[:-1]),
+        "; ".join(f"'{field}' is missing" for field in fields): cls,
+        f"'{first}' given twice": lambda: cls(*values, **{first: values[0]}),
+        "'extra' is not a field": lambda: cls(*values, extra=1),
+    }
+    for message, build in wrong.items():
+        with pytest.raises(TypeError, match=heading + message + "$"):
+            build()
+
+
+def test_validating_records_keep_their_own_checks():
+    shape = SpaceShape((2, 2))
+    cases = [
+        (lambda: SpaceShape(dims=(2, 1)), ValueError, "got 1 for party 1"),
+        (lambda: SubsetMask(bits=4, n_parties=2), ValueError, "mask bits 0x4 out of range"),
+        (lambda: Operator(shape=shape, entries=np.eye(2)), ValueError, "expected a 4x4 matrix"),
+        (lambda: PureState(shape=shape, amplitudes=np.ones(4)), ValueError, "squared norm 4.0"),
+        (lambda: MarginalSet(shape=shape, entries={SubsetMask(1, 3): _operator()}),
+         ValueError, "marginal key is over a different party count"),
+        (lambda: SpaceShape(dims=(2,), total_dim=2), TypeError, "unexpected keyword"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error, match=message):
+            build()
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
