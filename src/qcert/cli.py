@@ -16,8 +16,14 @@ numpy arrays, which only ``dumps`` writes; ``parse_state_dict`` and
 ``json.loads(dumps(doc))`` before it is parsed.
 
 Exit codes: 0 success / inequality holds, 2 input error or a failed write to
-stdout or to the ``sample --out`` file (say, a full disk), 3 certificate of
-violation, 4 inconclusive, 141 stdout closed by the reader.
+stdout or to the ``sample --out`` file (say, a full disk, or a FIFO whose
+reader closed it), 3 certificate of violation, 4 inconclusive, 141 stdout
+closed by the reader.
+
+Complex arrays are written one range of items at a time. A range of at least
+``_KERNEL_FLOATS`` floats is spelled by the numpy kernel of ``qcert._fmt17``,
+imported on first use, and a smaller one by ``"%"``-formatting (``_fill``),
+with the same bytes.
 
 ``main(argv)`` runs one command and returns its exit code, for callers in the
 same process. The ``qcert`` command (the console script, or ``python -m
@@ -66,14 +72,16 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer stopped by SIGPIPE
 # --- JSON emission (17 significant digits for lossless double round-trips) ---
 
 # Floats per range of a complex array's items: the text is formatted, and
-# written to a file, one range at a time (about 200 KB of text). Ranges of
-# 4 096 to 16 384 floats wrote a 295 k-float file fastest.
-_RANGE_FLOATS = 8192
-# The smallest payload, in floats, that two processes format when ``dumps``
-# writes a file (see _write_halves). Below about 12 000 floats the fork costs
-# more wall time than the second core saves (pure states of 2 048 to 131 072
-# floats, Python 3.11, 2 vCPUs).
-_FORK_FLOATS = 16384
+# written to a file, one range at a time (about 100 KB of text). Ranges of
+# 4 096 to 16 384 floats wrote a 295 k-float file fastest through _fill, and
+# the kernel took 5 % longer at 4 096 than at 8 192; at 4 096 its working set,
+# about 0.5 MB, stays below _fill's at 8 192, so writing costs no peak memory.
+_RANGE_FLOATS = 4096
+# The fewest floats in a range that the numpy kernel of qcert._fmt17 formats.
+# Its fixed cost is about 80 us a range: it took 0.9 of _fill's time at 256
+# floats, 1.05 at 192 and 0.6 at 512 (vectors and matrices, one BLAS thread,
+# Python 3.11, numpy 2.4).
+_KERNEL_FLOATS = 256
 
 
 def _format_number(x: float) -> str:
@@ -111,11 +119,19 @@ def _format_items(array: np.ndarray, level: int, start: int, stop: int) -> str:
 
     An item is a [re, im] pair of a vector or a row of a matrix. The first
     item's separator opens the array; the closing bracket is not included.
+    A range of at least ``_KERNEL_FLOATS`` floats is formatted by the numpy
+    kernel, where this platform's long double allows it: the same bytes.
     """
     pad = "\n" + "  " * (level + 1)
     item = _pair_layout(array.shape[1:], level + 1)
-    layout = ("[" if start == 0 else ",") + pad + item + ("," + pad + item) * (stop - start - 1)
-    return _fill(layout, array[start:stop])
+    opening = ("[" if start == 0 else ",") + pad
+    values = array[start:stop]
+    if 2 * values.size >= _KERNEL_FLOATS:
+        from . import _fmt17
+
+        if _fmt17.EXACT:
+            return _fmt17.fill(opening, "," + pad, item, values)
+    return _fill(opening + item + ("," + pad + item) * (stop - start - 1), values)
 
 
 def _multiline(obj) -> bool:
@@ -199,66 +215,12 @@ def _write(fd: int, text: str) -> None:
         data = data[os.write(fd, data):]
 
 
-def _fork_split(parts: list) -> int | None:
-    """How many of ``parts`` a forked child writes, or None to write them in one process.
-
-    Two processes take a payload of at least ``_FORK_FLOATS`` floats, on
-    Linux, with at least two CPUs this process may run on; the child writes
-    the parts before the middle item range.
-    """
-    ranges = [k for k, part in enumerate(parts) if type(part) is not str]
-    floats = sum(2 * (parts[k][3] - parts[k][2]) * parts[k][0][0].size for k in ranges)
-    if floats < _FORK_FLOATS or sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
-        return None
-    return ranges[len(ranges) // 2]
-
-
-def _write_halves(fd: int, parts: list, split: int) -> None:
-    """``parts`` to ``fd``: a forked child writes the first ``split``, then this process the rest.
-
-    The child formats and writes its half while this process formats the
-    other into memory; the child leaves by ``os._exit`` on every path, with
-    a failed write's errno as its exit status. This process then reaps it,
-    raises its error if it had one, and writes its own half.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on fork() in a process with threads, which numpy's
-        # OpenBLAS starts. The child calls no BLAS and takes no lock that
-        # another thread can hold: it formats with Python and numpy's
-        # element-wise functions and writes with os.write.
-        warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 255
-        try:
-            for part in parts[:split]:
-                _write(fd, _text(part))
-            status = 0
-        except OSError as exc:
-            status = exc.errno or 255
-        finally:
-            os._exit(status)
-    try:
-        texts = [_text(part) for part in parts[split:]]
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if 0 < status < 255:
-        raise OSError(status, os.strerror(status))
-    if status:
-        raise OSError(f"the process writing the first half of the file ended with status {status}")
-    for text in texts:
-        _write(fd, text)
-
-
 def dumps(obj, path: str | None = None) -> str | None:
     """The JSON text of ``obj``; with ``path``, that text and a newline written to the file.
 
     The file is written as it is formatted, one item range of a complex array
-    at a time; a large payload is formatted by two processes (_write_halves).
-    The bytes are the same on every path. A failed write removes the file, if
-    it is a regular file (_remove_written), and raises its error.
+    at a time, in this process. A failed write removes the file, if it is a
+    regular file (_remove_written), and raises its error.
     """
     parts: list = []
     _emit(obj, 0, parts)
@@ -270,12 +232,8 @@ def dumps(obj, path: str | None = None) -> str | None:
     try:
         try:
             opened = os.fstat(fd)
-            split = _fork_split(parts)
-            if split is None:
-                for part in parts:
-                    _write(fd, _text(part))
-            else:
-                _write_halves(fd, parts, split)
+            for part in parts:
+                _write(fd, _text(part))
         finally:
             os.close(fd)
     except BaseException:
@@ -635,7 +593,11 @@ def cmd_sample(args) -> tuple[dict | None, int]:
     doc = state_file_dict(state)
     if not args.out:
         return doc, EXIT_OK
-    dumps(doc, args.out)
+    try:
+        dumps(doc, args.out)
+    except BrokenPipeError as exc:
+        # A reader that closed the --out file is a failed write (exit 2), not a closed stdout.
+        raise OSError(str(exc)) from None
     return None, EXIT_OK
 
 

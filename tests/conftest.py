@@ -51,11 +51,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -69,6 +69,7 @@ from qcert import (
     partial_trace,
     required_subsets,
 )
+from qcert import cli
 from qcert.cli import main
 from qcert.config import VECTOR_DIM_CAP
 from qcert.hilbert import _check_mask
@@ -343,29 +344,37 @@ runpy.run_module("qcert.cli", run_name="__main__")
 """
 
 
-def pin_writer(monkeypatch, forked: bool, rule_out: str = "one-cpu") -> list:
-    """Make ``dumps`` to a file take the two-process path, or rule the fork out.
+def pin_writer(monkeypatch, path: str) -> list:
+    """Pin the formatter ``dumps`` takes for each item range, and make ``os.fork`` raise.
 
-    ``forked``: the platform reads as Linux with two usable CPUs, and each
-    ``os.fork`` is counted in the list returned. Otherwise the fork is ruled
-    out by ``rule_out``, one usable CPU or a platform other than Linux, and
-    ``os.fork`` raises if it is called.
+    ``"size-rule"``: the numpy kernel formats each range of at least
+    ``cli._KERNEL_FLOATS`` floats where the long-double gate is open, as it
+    stands. ``"kernel"``: the size rule reads 0, so the kernel formats every
+    range; the test is skipped where the gate is closed. ``"fill"``: the gate
+    reads closed, so ``cli._fill`` formats every range. The float count of
+    each range the kernel formats is appended to the list returned.
     """
-    forks: list = []
-    real_fork = os.fork
+    from qcert import _fmt17
+
+    if path == "kernel":
+        if not _fmt17.EXACT:
+            pytest.skip("no 64-bit long double: the kernel does not run here")
+        monkeypatch.setattr(cli, "_KERNEL_FLOATS", 0)
+    elif path == "fill":
+        monkeypatch.setattr(_fmt17, "EXACT", False)
+    ranges: list = []
+    kernel = _fmt17.fill
+
+    def fill(opening, joint, item, values):
+        ranges.append(2 * values.size)
+        return kernel(opening, joint, item, values)
 
     def fork():
-        if not forked:
-            raise AssertionError("os.fork called where the fork is ruled out")
-        forks.append(1)
-        return real_fork()
+        raise AssertionError("os.fork called: dumps writes in one process")
 
-    cpus = 1 if not forked and rule_out == "one-cpu" else 2
-    platform = "darwin" if not forked and rule_out == "not-linux" else "linux"
-    monkeypatch.setattr(sys, "platform", platform)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(_fmt17, "fill", fill)
     monkeypatch.setattr(os, "fork", fork)
-    return forks
+    return ranges
 
 
 def run_cli(capsys, *argv):

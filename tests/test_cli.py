@@ -42,7 +42,7 @@ from qcert import (
     required_subsets,
     w_state,
 )
-from qcert import cli, measures
+from qcert import _fmt17, cli, measures
 from qcert.cli import (
     dumps,
     main,
@@ -1037,110 +1037,62 @@ class TestProcessExit:
         assert proc.stderr.decode() == f"qcert: cannot write to stdout: {reason}\n"
 
 
-SIXTEEN_QUBITS = ",".join(["2"] * 16)  # 131 072 floats, past the fork threshold
+SIXTEEN_QUBITS = ",".join(["2"] * 16)  # 131 072 floats, in ranges the kernel formats
 
 
-def usable_cpus(count: int):
-    """A ``preexec_fn`` step that leaves the child ``count`` of this process's CPUs."""
-    cpus = sorted(os.sched_getaffinity(0))[:count]
-    return lambda: os.sched_setaffinity(0, cpus)
+class TestLargeOutWrite:
+    """``sample --out`` of a large payload is written by the command's own process."""
 
-
-@pytest.mark.skipif(sys.platform != "linux", reason="the two-process write runs on Linux only")
-class TestTwoProcessWrite:
-    """``sample --out`` of a large payload: a forked child writes the first half."""
-
-    def test_leaves_no_child_and_prints_nothing(self, tmp_path, capsys, monkeypatch):
-        forks = pin_writer(monkeypatch, True)
+    def test_never_forks_and_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        kernel = pin_writer(monkeypatch, "size-rule")
         out = tmp_path / "psi.json"
         assert run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS, "--out", str(out)) == (0, "")
-        assert len(forks) == 1
+        assert kernel == ([cli._RANGE_FLOATS] * (131_072 // cli._RANGE_FLOATS)
+                          if _fmt17.EXACT else [])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("failure", ["errno", "signal"])
-    def test_child_failure_is_the_commands_error(self, tmp_path, capsys, monkeypatch, failure):
-        pin_writer(monkeypatch, True)
-        parent, real_write = os.getpid(), os.write
-
-        def write(fd, data):  # fails in the forked child only
-            if os.getpid() != parent:
-                if failure == "signal":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise OSError(errno.EIO, os.strerror(errno.EIO))
-            return real_write(fd, data)
-
-        monkeypatch.setattr(os, "write", write)
-        out = tmp_path / "psi.json"
-        message = error_message(*run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS,
-                                         "--out", str(out)))
-        assert message == {
-            "errno": f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}",
-            "signal": "the process writing the first half of the file ended with status -9",
-        }[failure]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-processes", "one-cpu"])
-    def test_failed_write_exits_2_with_the_errno(self, tmp_path, cpus):
-        if len(os.sched_getaffinity(0)) < cpus:
-            pytest.skip("fewer usable CPUs than the path needs")
-        pin_cpus = usable_cpus(cpus)
-
-        def limits():
-            # About 3.4 MB are due; the first half's writes fail past 100 KB.
-            resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
-            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-            pin_cpus()
-
+    def test_failed_write_exits_2_with_the_errno(self, tmp_path):
+        # About 3.4 MB are due; the writes fail past 100 KB.
         path = tmp_path / "psi.json"
         proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(path),
-                          preexec_fn=limits)
-        # run_module returns once both pipes are closed: by then every process
-        # that inherited them, a forked writer included, has exited.
+                          preexec_fn=limited_writes)
+        # run_module returns once both pipes are closed: the command has exited.
         assert (proc.returncode, proc.stderr) == (2, b"")
         reason = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
         assert error_message(2, proc.stdout) == reason
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    @pytest.mark.parametrize("forked", [True, False], ids=["two-processes", "one-cpu"])
-    def test_full_device_exits_2(self, capsys, monkeypatch, forked):
-        forks = pin_writer(monkeypatch, forked)
+    def test_full_device_exits_2(self, capsys, monkeypatch):
+        pin_writer(monkeypatch, "size-rule")
         code, out = run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS, "--out", "/dev/full")
         assert error_message(code, out) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-        assert len(forks) == forked
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("action", ["error", "always"])
-    def test_fork_under_blas_threads_warns_nothing(self, tmp_path, action):
-        # Python 3.12+ warns on a fork in a process with threads, and numpy's
-        # OpenBLAS runs threads unless a thread variable pins it to one. Under
-        # "error" CPython 3.12.1 and 3.13.0 clear the raised warning after the
-        # fork, so only "always" shows a missing filter, as a line on stderr.
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("one usable CPU: the write does not fork")
-        env = child_env(False)
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.pop(name, None)
-        path = tmp_path / "psi.json"
-        argv = [sys.executable, "-W", f"{action}::DeprecationWarning", "-m", "qcert.cli",
-                "sample", "--dims", SIXTEEN_QUBITS, "--out", str(path)]
-        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
-        assert path.read_text().endswith("\n  ]\n}\n")
+    def test_reader_that_closes_the_fifo_exits_2(self, tmp_path):
+        # A closed --out reader is a failed write of the file, not a closed
+        # stdout (exit 141): the command prints the error document.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(
+            [sys.executable, "-c", f"open({str(fifo)!r}, 'rb').read(1000)"])
+        try:
+            proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(fifo))
+        finally:
+            reader.kill()  # it has read and exited unless the write never began
+            reader.wait(60)
+        # run_module returns once both pipes are closed: the command has exited.
+        assert (proc.returncode, proc.stderr) == (2, b"")
+        assert error_message(2, proc.stdout) == (
+            f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
-def limited_writes(cpus: int):
-    """A ``preexec_fn`` step: writes past 100 KB fail with EFBIG, on ``cpus`` CPUs."""
-    pin_cpus = usable_cpus(cpus)
-
-    def limits():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
-        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-        pin_cpus()
-
-    return limits
+def limited_writes():
+    """A ``preexec_fn``: writes past 100 KB fail with EFBIG."""
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 
 
 EFBIG_MESSAGE = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
@@ -1149,33 +1101,27 @@ EFBIG_MESSAGE = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
 class TestFailedOutWrite:
     """A failed ``sample --out`` write removes the regular file it was writing, and only that."""
 
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-processes", "one-cpu"])
-    def test_leaves_no_partial_file(self, tmp_path, cpus):
-        if len(os.sched_getaffinity(0)) < cpus:
-            pytest.skip("fewer usable CPUs than the path needs")
+    def test_leaves_no_partial_file(self, tmp_path):
         path = tmp_path / "psi.json"
         path.write_text("an older file\n")
         proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(path),
-                          preexec_fn=limited_writes(cpus))
+                          preexec_fn=limited_writes)
         assert (proc.returncode, proc.stderr) == (2, b"")
         assert error_message(2, proc.stdout) == EFBIG_MESSAGE
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-processes", "one-cpu"])
-    def test_keeps_a_symlink_and_its_target(self, tmp_path, cpus):
-        if len(os.sched_getaffinity(0)) < cpus:
-            pytest.skip("fewer usable CPUs than the path needs")
+    def test_keeps_a_symlink_and_its_target(self, tmp_path):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_text("")
         link.symlink_to(target)
         proc = run_module("sample", "--dims", SIXTEEN_QUBITS, "--out", str(link),
-                          preexec_fn=limited_writes(cpus))
+                          preexec_fn=limited_writes)
         assert error_message(proc.returncode, proc.stdout) == EFBIG_MESSAGE
         assert os.readlink(link) == str(target)
         assert stat.S_ISREG(os.lstat(target).st_mode)
 
     def test_keeps_a_file_that_replaced_the_one_opened(self, tmp_path, monkeypatch):
-        pin_writer(monkeypatch, False)
+        pin_writer(monkeypatch, "size-rule")
         path, moved = tmp_path / "psi.json", tmp_path / "moved.json"
 
         def write(fd, data):  # the first write finds another file at the path
@@ -1188,13 +1134,12 @@ class TestFailedOutWrite:
             dumps(state_file_dict(ghz_state(2)), str(path))
         assert path.read_text() == "another file\n" and moved.read_text() == ""
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["two-processes", "one-cpu"])
-    def test_keeps_a_fifo(self, tmp_path, monkeypatch, forked):
-        pin_writer(monkeypatch, forked)
+    def test_keeps_a_fifo(self, tmp_path, monkeypatch):
+        pin_writer(monkeypatch, "size-rule")
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        # A reader in another process, so that no forked writer holds the reading
-        # end: it reads a little and exits, and the next write fails.
+        # A reader in another process: it reads a little and exits, and the
+        # next write fails.
         reader = subprocess.Popen(
             [sys.executable, "-c", f"open({str(fifo)!r}, 'rb').read(1000)"])
         doc = state_file_dict(random_pure(SpaceShape((2,) * 16), 0))
@@ -1207,9 +1152,8 @@ class TestFailedOutWrite:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-    @pytest.mark.parametrize("forked", [True, False], ids=["two-processes", "one-cpu"])
-    def test_keeps_a_device(self, capsys, monkeypatch, forked):
-        pin_writer(monkeypatch, forked)
+    def test_keeps_a_device(self, capsys, monkeypatch):
+        pin_writer(monkeypatch, "size-rule")
         code, out = run_cli(capsys, "sample", "--dims", SIXTEEN_QUBITS, "--out", "/dev/full")
         assert error_message(code, out) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
         assert stat.S_ISCHR(os.lstat("/dev/full").st_mode)

@@ -24,7 +24,7 @@ from qcert import (
     random_mixed,
     random_pure,
 )
-from qcert import cli
+from qcert import _fmt17, cli
 from qcert.cli import (
     _parse_pairs,
     dumps,
@@ -453,7 +453,7 @@ def test_sample_digest(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[argv]
 
 
-# --- sample --out on the one-process and the two-process path ----------------
+# --- sample --out on the kernel and the _fill path ---------------------------
 
 def sample_case(dims: tuple[int, ...], rank: int | None = None, seed: int = 1):
     """The ``sample`` arguments for a state and the state they draw."""
@@ -464,29 +464,39 @@ def sample_case(dims: tuple[int, ...], rank: int | None = None, seed: int = 1):
         SpaceShape(dims), rank, seed)
 
 
+def range_floats(array: np.ndarray) -> list[int]:
+    """The float count of each item range ``dumps`` formats for ``array``."""
+    step = max(1, cli._RANGE_FLOATS // (2 * array[0].size))
+    return [2 * array[start:start + step].size for start in range(0, len(array), step)]
+
+
 # (dims, rank or None for a pure state): their payloads in floats are 131 072,
-# 294 912, and the fork threshold, 4 less and 4 more.
+# 294 912, and the kernel's size rule, 4 less and 4 more, in one range each.
 WRITE_CASES = {
     "16-qubit-pure": ((2,) * 16, None),
     "rank-4-mixed": ((2,) * 7 + (3,), 4),
-    "just-below": ((2, cli._FORK_FLOATS // 4 - 1), None),
-    "at-threshold": ((2, cli._FORK_FLOATS // 4), None),
-    "just-above": ((2, cli._FORK_FLOATS // 4 + 1), None),
+    "just-below": ((2, cli._KERNEL_FLOATS // 4 - 1), None),
+    "at-the-rule": ((2, cli._KERNEL_FLOATS // 4), None),
+    "just-above": ((2, cli._KERNEL_FLOATS // 4 + 1), None),
 }
 
 
 class TestSampleOutOnBothPaths:
     @pytest.mark.parametrize("case", sorted(WRITE_CASES))
-    @pytest.mark.parametrize("path", ["two-processes", "one-cpu", "not-linux"])
+    @pytest.mark.parametrize("path", ["kernel", "size-rule", "fill"])
     def test_file_is_the_text_of_dumps(self, tmp_path, capsys, monkeypatch, case, path):
         argv, state = sample_case(*WRITE_CASES[case])
-        forks = pin_writer(monkeypatch, path == "two-processes", path)
+        doc = state_file_dict(state)
+        array = doc.get("vector", doc.get("matrix"))
+        text = ref_dumps({**doc, "vector" if array.ndim == 1 else "matrix":
+                          ref_pair_lists(array)}) + "\n"
+        kernel = pin_writer(monkeypatch, path)
         out = tmp_path / "state.json"
         assert run_cli(capsys, "sample", *argv, "--out", str(out)) == (0, "")
-        assert out.read_text() == dumps(state_file_dict(state)) + "\n"
-        floats = 2 * state.amplitudes.size if "vector" in state_file_dict(state) else (
-            2 * state.entries.size)
-        assert len(forks) == (path == "two-processes" and floats >= cli._FORK_FLOATS)
+        assert out.read_text() == text
+        expected = {"kernel": range_floats(array), "fill": [], "size-rule": [
+            n for n in range_floats(array) if n >= cli._KERNEL_FLOATS and _fmt17.EXACT]}
+        assert kernel == expected[path]
 
     @staticmethod
     def signed_zeros(shape: tuple[int, ...], places: list[int]) -> np.ndarray:
@@ -498,11 +508,11 @@ class TestSampleOutOnBothPaths:
             a.reshape(-1)[place] = zeros[k % 4]
         return a
 
-    @pytest.mark.parametrize("path", ["two-processes", "one-cpu"])
-    def test_negative_zeros_at_range_and_half_boundaries(self, tmp_path, monkeypatch, path):
-        # The vector's item ranges end every _RANGE_FLOATS / 2 pairs and the
-        # child's half at n / 2; the matrix's ranges end every few rows.
-        n = cli._FORK_FLOATS
+    @pytest.mark.parametrize("path", ["kernel", "fill"])
+    def test_negative_zeros_at_range_boundaries(self, tmp_path, monkeypatch, path):
+        # The vector's item ranges end every _RANGE_FLOATS / 2 pairs, the
+        # matrix's every few rows; the middle of each is marked too.
+        n = 16384
         step = cli._RANGE_FLOATS // 2
         vector = self.signed_zeros((n,), [0, step - 1, step, n // 2 - 1, n // 2, n - 1])
         side = 128
@@ -510,7 +520,7 @@ class TestSampleOutOnBothPaths:
         matrix = self.signed_zeros((side, side), [
             0, rows * side - 1, rows * side, side * side // 2 - 1, side * side // 2,
             side * side - 1])
-        forks = pin_writer(monkeypatch, path == "two-processes", path)
+        kernel = pin_writer(monkeypatch, path)
         for key, array in (("vector", vector), ("matrix", matrix)):
             doc = {"dims": [len(array)], "kind": "pure" if key == "vector" else "mixed",
                    key: array}
@@ -521,4 +531,4 @@ class TestSampleOutOnBothPaths:
             parts = array.reshape(-1).view(float)
             negative_zeros = int(np.signbit(parts[parts == 0]).sum())
             assert text.count("[-0.0,") + text.count(" -0.0]") == negative_zeros == 7
-        assert len(forks) == (2 if path == "two-processes" else 0)
+        assert kernel == (range_floats(vector) + range_floats(matrix) if path == "kernel" else [])

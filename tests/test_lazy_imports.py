@@ -126,19 +126,22 @@ def test_rebinding_a_module_attribute_reaches_the_package(monkeypatch):
 # The exit code, then every qcert module loaded by the end of the command.
 RUN = exit_probe('*sorted(m for m in sys.modules if m.startswith("qcert."))')
 
-# (argv with {state} and {marginals} placeholders, exit code, modules not imported)
+# (argv with {state} and {marginals} placeholders, exit code, modules not imported).
+# No command but ``sample`` writes a range large enough for the kernel, _fmt17,
+# and this sample's 12 floats are not.
 COMMANDS = {
     "measure": (["measure", "--state", "{state}"], 0,
-                {"compatibility", "monogamy", "states"}),
+                {"compatibility", "monogamy", "states", "_fmt17"}),
     "monogamy": (["monogamy", "--state", "{state}"], 0,
-                 {"compatibility", "observables", "oracle", "states"}),
+                 {"compatibility", "observables", "oracle", "states", "_fmt17"}),
     "disorder": (["disorder", "--state", "{state}"], 0,
-                 {"compatibility", "observables", "oracle", "states"}),
+                 {"compatibility", "observables", "oracle", "states", "_fmt17"}),
     "sample": (["sample", "--dims", "2,3", "--seed", "4"], 0,
-               {"measures", "observables", "monogamy", "oracle", "compatibility"}),
+               {"measures", "observables", "monogamy", "oracle", "compatibility", "_fmt17"}),
     "compat": (["compat", "--marginals", "{marginals}"], 0,
-               {"measures", "monogamy", "observables", "oracle", "states"}),
-    "demo": (["demo", "eq8"], 3, {"measures", "monogamy", "observables", "oracle", "states"}),
+               {"measures", "monogamy", "observables", "oracle", "states", "_fmt17"}),
+    "demo": (["demo", "eq8"], 3,
+             {"measures", "monogamy", "observables", "oracle", "states", "_fmt17"}),
 }
 
 
@@ -170,12 +173,22 @@ def test_command_leaves_other_modules_unloaded(command, inputs):
     assert {"config", "hilbert"} <= loaded
 
 
+def test_a_range_at_the_size_rule_loads_the_kernel(tmp_path):
+    dims = ",".join(["2"] * 8)  # 512 floats in one range
+    argv = ["sample", "--dims", dims, "--out", str(tmp_path / "psi.json")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, *loaded = proc.stderr.split()
+    assert int(code) == 0, proc.stdout
+    assert "qcert._fmt17" in loaded
+
+
 # Packages a command must not load beyond what numpy's import loads (numpy
-# itself imports tempfile): the two-process writer forks with os.fork.
+# itself imports tempfile): every command runs in one process.
 POOL_PACKAGES = {"multiprocessing", "concurrent", "tempfile", "subprocess"}
 # The exit code, then each of those packages loaded by the end of the command.
-# A forked writer ends with os._exit too, so a two-process ``sample --out``
-# reports twice.
+# Only the command's own process reports: a forked process would report too.
 POOL_RUN = exit_probe(f'*sorted({{m.split(".")[0] for m in sys.modules}} & {POOL_PACKAGES!r})')
 
 
@@ -193,7 +206,7 @@ def numpy_pool_packages() -> set[str]:
 def test_command_loads_no_pool_temp_file_or_subprocess_package(
         command, inputs, tmp_path, numpy_pool_packages):
     if command == "sample --out":
-        # 131 072 floats: two processes write it where two CPUs are usable.
+        # 131 072 floats, which the kernel formats where the long double allows.
         argv = ["sample", "--dims", ",".join(["2"] * 16), "--out", str(tmp_path / "psi.json")]
     else:
         argv = [arg.format(**inputs) for arg in COMMANDS[command][0]]
@@ -201,9 +214,8 @@ def test_command_loads_no_pool_temp_file_or_subprocess_package(
     proc = subprocess.run([sys.executable, "-c", POOL_RUN, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     reports = proc.stderr.splitlines()
-    assert reports, proc.stderr
-    for line in reports:
-        code, *loaded = line.split()
-        assert int(code) == (COMMANDS[command][1] if command in COMMANDS else 0), line
-        extra = set(loaded) - numpy_pool_packages
-        assert not extra, f"{command} imported {sorted(extra)}"
+    assert len(reports) == 1, proc.stderr
+    code, *loaded = reports[0].split()
+    assert int(code) == (COMMANDS[command][1] if command in COMMANDS else 0), reports[0]
+    extra = set(loaded) - numpy_pool_packages
+    assert not extra, f"{command} imported {sorted(extra)}"
